@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -53,12 +52,19 @@ def write_config(path: str, config: PointConfig, meta: dict) -> None:
 def read_config(path: str) -> tuple[PointConfig, dict]:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise _UsageError(f"{path} does not hold a configuration object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise _UsageError(f"unsupported schema_version in {path}")
     points = doc.get("points", [])
-    if len(points) != doc.get("n"):
+    if not isinstance(points, list) or len(points) != doc.get("n"):
         raise _UsageError("point count does not match n")
-    arr = np.asarray(points, dtype=float)
+    try:
+        arr = np.asarray(points, dtype=float)
+    except (TypeError, ValueError):
+        raise _UsageError("points must be [x, y] pairs of numbers") from None
+    if arr.size and arr.shape[1:] != (2,):
+        raise _UsageError("points must be [x, y] pairs of numbers")
     if arr.size and not np.isfinite(arr).all():
         raise _UsageError("non-finite coordinates in file")
     return PointConfig(arr.reshape(-1, 2)), doc.get("meta", {})
@@ -227,8 +233,7 @@ def _parse_graph_arg(text: str) -> diamgraph.DiameterGraph:
 
 def cmd_optimize(args) -> int:
     opts = optimize.OptimizeOptions(
-        seed=args.seed, starts=args.starts, threads=args.threads,
-        record_trace=bool(args.trace_csv))
+        seed=args.seed, starts=args.starts, record_trace=bool(args.trace_csv))
     if args.graph:
         graph = _parse_graph_arg(args.graph)
         if graph.n != args.n:
@@ -270,7 +275,10 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_table(args) -> int:
-    n_list = [int(tok) for tok in args.n.split(",") if tok.strip()] if args.n else []
+    try:
+        n_list = [int(tok) for tok in args.n.split(",") if tok.strip()]
+    except ValueError:
+        raise _UsageError(f"--n must list integers, got {args.n!r}") from None
     if not n_list:
         raise _UsageError("empty n list")
     families = [tok.strip() for tok in args.families.split(",") if tok.strip()]
@@ -405,8 +413,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--graph", default=None,
                    help='target diameter graph, e.g. "n=4; edges=1-2,2-3,2-4"')
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("POLYDISC_THREADS", "1") or 1))
     p.add_argument("--trace-csv", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_optimize)

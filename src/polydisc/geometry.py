@@ -21,6 +21,11 @@ from .errors import InvalidConfigError, SingularConfigError
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
+def _exp(x: float) -> float:
+    """exp(x), or inf past the float range."""
+    return math.exp(x) if x <= _LOG_FLOAT_MAX else math.inf
+
+
 @dataclass(frozen=True)
 class PointConfig:
     """An ordered list of n planar points, stored as an (n, 2) float array."""
@@ -101,8 +106,7 @@ def discriminant(config: PointConfig) -> tuple[float, float]:
     if (d[off] == 0.0).any():
         return 0.0, -math.inf
     log_delta = float(np.sum(np.log(d[off])))
-    delta = math.exp(log_delta) if log_delta <= _LOG_FLOAT_MAX else math.inf
-    return delta, log_delta
+    return _exp(log_delta), log_delta
 
 
 def diameter(config: PointConfig) -> float:
@@ -139,7 +143,7 @@ def normalized_discriminant(config: PointConfig, rescale_to_diameter: bool = Tru
         return 0.0
     if rescale_to_diameter and n >= 2:
         log_delta += n * (n - 1) * math.log(2.0 / diameter(config))
-    return math.exp(log_delta - n * math.log(n))
+    return _exp(log_delta - n * math.log(n))
 
 
 def log_delta_bar(config: PointConfig) -> float:
@@ -163,7 +167,7 @@ def evaluate(config: PointConfig) -> EvalReport:
     diam = diameter(config)
     if diam == 0.0:
         raise InvalidConfigError("zero-diameter configuration")
-    delta_bar = 0.0 if log_delta == -math.inf else math.exp(
+    delta_bar = 0.0 if log_delta == -math.inf else _exp(
         log_delta - config.n * math.log(config.n))
     return EvalReport(n=config.n, delta=delta, log_delta=log_delta,
                       delta_bar=delta_bar, diameter=diam)

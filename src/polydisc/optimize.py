@@ -5,14 +5,14 @@ merit function in which every pair carries the inequality |z_i - z_j|^2 <= 4
 (equality targets on prescribed graph edges).  The multiplier estimates then
 seed an active-set Newton solve of the first-order system, which polishes
 the configuration to stationarity near machine precision.  Starts are
-independent and reproducible from (seed, start index).
+independent and reproducible from (seed, start index): all starts of a run
+climb together as one stack of arrays, and each start's output does not
+depend on the stack it ran in.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,6 +27,16 @@ TERM_CONVERGED = "gradient-converged"
 TERM_ITERATION_CAP = "iteration-cap"
 TERM_STALLED = "stalled"
 
+# Largest ascent stack, in pair entries (starts x n^2); more starts run in
+# consecutive chunks, so peak memory does not grow with the start count.
+_STACK_ENTRIES = 1 << 14
+
+# Line-search trials alpha * 2^-k, k < 50.  Scaling by a power of two is
+# exact, so scoring several trials per merit call accepts the same one as
+# trying them one at a time.
+_HALVINGS = np.ldexp(1.0, -np.arange(50))
+_TRIALS_PER_CALL = 3
+
 
 @dataclass(frozen=True)
 class OptimizeOptions:
@@ -39,14 +49,14 @@ class OptimizeOptions:
     tol_gradient: float = 1e-8
     tol_constraint: float = 1e-10
     graph: Optional[DiameterGraph] = None
-    threads: int = 1
     record_trace: bool = False
 
     def __post_init__(self):
         if self.starts < 1:
             raise InvalidConfigError("starts must be >= 1")
-        if min(self.tol_gradient, self.tol_constraint, self.step_init) <= 0:
-            raise InvalidConfigError("tolerances and step must be positive")
+        if min(self.tol_gradient, self.tol_constraint, self.step_init,
+               self.penalty_init) <= 0:
+            raise InvalidConfigError("tolerances, step and penalty must be positive")
         if self.penalty_growth <= 1.0:
             raise InvalidConfigError("penalty growth must exceed 1")
 
@@ -132,98 +142,235 @@ def _edge_stretching_permutation(n, edges, slots, rng):
     return perm
 
 
-def _merit_value(z, lam, mu, eq_mask, eye):
-    diff = z[:, None] - z[None, :]
-    np.fill_diagonal(diff, 1.0)
+def _pair_sq(z):
+    """z_i - z_j over the last axis of z, and its squared modulus q.
+
+    q is 1 on the diagonal, where diff and the multipliers are 0, so that
+    log q, the penalty terms (mu > 0) and every gradient term vanish there.
+    """
+    n = z.shape[-1]
+    diff = z[..., :, None] - z[..., None, :]
     q = np.abs(diff) ** 2
+    q.reshape(-1, n * n)[:, ::n + 1] = 1.0  # the diagonals, through a strided view
+    return diff, q
+
+
+# The merit kernels take a stack: z (..., n), lam and eq (..., n, n), mu (...).
+# eq is None when no pair of the stack is an equality target.  Each stack
+# entry sees the element-wise operations and the reduction order of a single
+# (n, n) evaluation, so its value does not depend on the stack around it.
+
+def _merit_value(z, lam, mu, eq):
+    _, q = _pair_sq(z)
     g = q - 4.0
-    logq = np.log(q)
-    np.fill_diagonal(logq, 0.0)
-    f = logq.sum() / 2.0
-    pen = np.where(eq_mask, lam * g + 0.5 * mu * g * g,
-                   (np.maximum(0.0, lam + mu * g) ** 2 - lam * lam) / (2.0 * mu))
-    pen[eye] = 0.0
-    return f - pen.sum() / 2.0
+    f = np.add.reduce(np.log(q), axis=(-2, -1)) / 2.0
+    mu = mu[..., None, None]
+    pen = (np.maximum(0.0, lam + mu * g) ** 2 - lam * lam) / (2.0 * mu)
+    if eq is not None:
+        pen = np.where(eq, lam * g + 0.5 * mu * g * g, pen)
+    return f - np.add.reduce(pen, axis=(-2, -1)) / 2.0
 
 
-def _merit_gradient(z, lam, mu, eq_mask, eye):
-    diff = z[:, None] - z[None, :]
-    np.fill_diagonal(diff, 1.0)
-    q = np.abs(diff) ** 2
+def _merit_gradient(z, lam, mu, eq):
+    diff, q = _pair_sq(z)
     g = q - 4.0
-    w = 2.0 * diff / q
-    np.fill_diagonal(w, 0.0)
-    grad_f = w.sum(axis=1)
-    coef = np.where(eq_mask, lam + mu * g, np.maximum(0.0, lam + mu * g))
-    coef[eye] = 0.0
-    return grad_f - (2.0 * coef * diff).sum(axis=1)
+    grad_f = np.add.reduce(2.0 * diff / q, axis=-1)
+    t = lam + mu[..., None, None] * g
+    coef = np.maximum(0.0, t) if eq is None else np.where(eq, t, np.maximum(0.0, t))
+    return grad_f - np.add.reduce(2.0 * coef * diff, axis=-1)
 
 
-def _al_phase(z, eq_mask, opts: OptimizeOptions, trace_out=None):
-    """Augmented-Lagrangian ascent; returns (z, multiplier matrix, iterations)."""
-    n = len(z)
-    eye = np.eye(n, dtype=bool)
-    lam = np.zeros((n, n))
-    mu = opts.penalty_init
-    viol_prev = math.inf
-    used = 0
-    outer_cap = 12
-    for outer in range(outer_cap):
-        alpha = opts.step_init
-        inner_cap = min(150, max(0, opts.max_iters - used))
-        phi = _merit_value(z, lam, mu, eq_mask, eye)
-        for _ in range(inner_cap):
-            used += 1
-            d = _merit_gradient(z, lam, mu, eq_mask, eye)
-            nd = np.abs(d).max()
-            if nd < max(1e-9, 1e-3 / mu):
-                break
-            direction = d / nd
-            step = alpha
-            accepted = False
-            for _ in range(50):
-                zt = z + step * direction
-                phi_t = _merit_value(zt, lam, mu, eq_mask, eye)
-                if phi_t > phi:
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                break
-            z, phi = zt, phi_t
-            if trace_out is not None:
-                zp = _rescale(z)
-                trace_out.append((outer, used, float(phi), float(log_delta_bar(
-                    PointConfig.from_complex(zp)))))
-            alpha = min(step * 2.0, 1.0)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        g = np.abs(diff) ** 2 - 4.0
-        viol = np.where(eq_mask, np.abs(g), np.maximum(0.0, g))
-        viol[eye] = 0.0
-        v = float(viol.max())
-        lam = np.where(eq_mask, lam + mu * g, np.maximum(0.0, lam + mu * g))
-        lam[eye] = 0.0
-        if v < opts.tol_constraint:
+def _line_search(z, direction, phi, alpha, lam, mu, eq):
+    """Per row, the first trial step alpha 2^-k (k < 50) whose point
+    z + step direction has a merit above phi.
+
+    Returns (found, z_new, phi_new, step): ``found`` is None when every row
+    found one, else the mask of the rows that did.
+    """
+    todo = np.arange(len(z))
+    sel = slice(None)  # rows of todo, without a gather while it holds all
+    for first in range(0, len(_HALVINGS), _TRIALS_PER_CALL):
+        steps = alpha[sel, None] * _HALVINGS[first:first + _TRIALS_PER_CALL]
+        zt = z[sel, None] + steps[..., None] * direction[sel, None]
+        phi_t = _merit_value(zt, lam[sel, None], mu[sel, None],
+                             None if eq is None else eq[sel, None])
+        better = phi_t > phi[sel, None]
+        j = better.argmax(axis=1)
+        hit = better.any(axis=1)
+        if first == 0:
+            if hit.all():
+                return None, zt[todo, j], phi_t[todo, j], steps[todo, j]
+            found = np.zeros(len(z), dtype=bool)
+            z_new = np.empty_like(z)
+            phi_new = np.empty(len(z))
+            step = np.empty(len(z))
+        rows, j = todo[hit], j[hit]
+        found[rows] = True
+        z_new[rows] = zt[hit, j]
+        phi_new[rows] = phi_t[hit, j]
+        step[rows] = steps[hit, j]
+        todo = sel = todo[~hit]
+        if not todo.size:
             break
-        if v > 0.25 * viol_prev:
-            mu *= opts.penalty_growth
-        viol_prev = v
-        if used >= opts.max_iters:
-            break
-    return z, lam, used
+    return found, z_new, phi_new, step
 
 
-def _constraint_matrix(z, act):
-    n = len(z)
-    G = np.zeros((2 * n, len(act)))
-    for c, (a, b) in enumerate(act):
-        w = z[a] - z[b]
-        G[a, c] = 2 * w.real
-        G[n + a, c] = 2 * w.imag
-        G[b, c] = -2 * w.real
-        G[n + b, c] = -2 * w.imag
-    return G
+class _Ascent:
+    """Augmented-Lagrangian ascent of a stack of starts, in lockstep.
+
+    Row r of every array belongs to start ``ids[r]``.  Each start keeps its
+    own round counter, penalty mu, step alpha, iteration count and previous
+    violation, so it takes exactly the steps it would take alone.  A round
+    ends when the start's gradient test passes, its line search fails or it
+    reaches the round's step cap; a start leaves the stack after its last
+    round.  ``it`` counts the stack's steps: a row's current round began
+    after step ``begun`` and ends with step ``stop_at``, and ``used`` counts
+    the iterations of its finished rounds.
+    """
+
+    _ROWS = ("ids", "z", "lam", "eq", "mu", "gtol", "viol_prev", "used", "rnd",
+             "alpha", "phi", "begun", "stop_at")
+
+    def __init__(self, z, eq, opts: OptimizeOptions):
+        S, n = z.shape
+        self.opts = opts
+        self.it = 0
+        self.ids = np.arange(S)
+        self.z = z
+        self.lam = np.zeros((S, n, n))
+        self.eq = eq
+        self.mu = np.full(S, opts.penalty_init)
+        self.viol_prev = np.full(S, math.inf)
+        self.used = np.zeros(S, dtype=int)
+        self.rnd = np.zeros(S, dtype=int)
+        self.gtol = np.empty(S)
+        self.alpha = np.empty(S)
+        self.phi = np.empty(S)
+        self.begun = np.empty(S, dtype=int)
+        self.stop_at = np.empty(S, dtype=int)
+        self._begin(self.ids)
+
+    def _eq(self, rows):
+        return None if self.eq is None else self.eq[rows]
+
+    def _begin(self, rows):
+        self.gtol[rows] = np.maximum(1e-9, 1e-3 / self.mu[rows])
+        self.alpha[rows] = self.opts.step_init
+        self.begun[rows] = self.it
+        cap = np.minimum(150, np.maximum(0, self.opts.max_iters - self.used[rows]))
+        self.stop_at[rows] = self.it + cap
+        self.phi[rows] = _merit_value(self.z[rows], self.lam[rows], self.mu[rows],
+                                      self._eq(rows))
+
+    def step(self, traces=None):
+        """One ascent step of every row; a row whose gradient test passes or
+        whose line search fails ends its round instead of moving."""
+        self.it += 1
+        d = _merit_gradient(self.z, self.lam, self.mu, self.eq)
+        nd = np.maximum.reduce(np.abs(d), axis=1)
+        going = nd >= self.gtol
+        rows = slice(None) if going.all() else np.flatnonzero(going)
+        found, z_new, phi_new, step = _line_search(
+            self.z[rows], d[rows] / nd[rows, None], self.phi[rows], self.alpha[rows],
+            self.lam[rows], self.mu[rows], self._eq(rows))
+        if found is None and isinstance(rows, slice):
+            moved = slice(None)
+            self.z, self.phi = z_new, phi_new
+            self.alpha = np.minimum(step * 2.0, 1.0)
+        else:
+            moved = np.arange(len(self.ids))[rows]
+            if found is not None:
+                moved = moved[found]
+                z_new, phi_new, step = z_new[found], phi_new[found], step[found]
+            self.z[moved] = z_new
+            self.phi[moved] = phi_new
+            self.alpha[moved] = np.minimum(step * 2.0, 1.0)
+            ended = np.ones(len(self.ids), dtype=bool)
+            ended[moved] = False
+            self.stop_at[ended] = self.it
+        if traces is not None:
+            for r in np.arange(len(self.ids))[moved]:
+                ldb = log_delta_bar(PointConfig.from_complex(_rescale(self.z[r])))
+                used = self.used[r] + self.it - self.begun[r]
+                traces[self.ids[r]].append(
+                    (int(self.rnd[r]), int(used), float(self.phi[r]), float(ldb)))
+
+    def end_rounds(self, rows):
+        """Multiplier and penalty update of rows whose round has ended; the
+        rows that go on begin their next round.  Returns the finished rows."""
+        opts = self.opts
+        self.used[rows] += self.it - self.begun[rows]
+        g = _pair_sq(self.z[rows])[1] - 4.0
+        mu = self.mu[rows]
+        t = self.lam[rows] + mu[:, None, None] * g
+        eq = self._eq(rows)
+        if eq is None:
+            viol = np.maximum(0.0, g)
+            lam = np.maximum(0.0, t)
+        else:
+            viol = np.where(eq, np.abs(g), np.maximum(0.0, g))
+            lam = np.where(eq, t, np.maximum(0.0, t))
+        self.lam[rows] = lam
+        v = viol.max(axis=(1, 2))
+        done = v < opts.tol_constraint
+        self.mu[rows] = np.where(~done & (v > 0.25 * self.viol_prev[rows]),
+                                 mu * opts.penalty_growth, mu)
+        self.viol_prev[rows] = v
+        self.rnd[rows] += 1
+        done |= (self.used[rows] >= opts.max_iters) | (self.rnd[rows] >= 12)
+        self._begin(rows[~done])
+        return rows[done]
+
+    def drop(self, rows):
+        keep = np.ones(len(self.ids), dtype=bool)
+        keep[rows] = False
+        for name in self._ROWS:
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, value[keep])
+
+
+def _al_phase(z, eq, opts: OptimizeOptions, traces=None):
+    """Augmented-Lagrangian ascent of the (S, n) stack of starts ``z``.
+
+    ``eq`` is None or the (S, n, n) mask of equality pairs; ``traces``, when
+    given, holds one list per start that receives its accepted steps as
+    (round, iteration, merit, log Delta-bar).  Returns the final points, the
+    (S, n, n) multiplier matrices and the iterations used per start.
+    """
+    S, n = z.shape
+    z_out = np.empty_like(z)
+    lam_out = np.empty((S, n, n))
+    used_out = np.empty(S, dtype=int)
+    stack = _Ascent(z.copy(), eq, opts)
+    while len(stack.ids):
+        over = stack.stop_at <= stack.it
+        if over.any():
+            done = stack.end_rounds(np.flatnonzero(over))
+            ids = stack.ids[done]
+            z_out[ids] = stack.z[done]
+            lam_out[ids] = stack.lam[done]
+            used_out[ids] = stack.used[done]
+            stack.drop(done)
+        else:
+            stack.step(traces)
+    return z_out, lam_out, used_out
+
+
+def _pair_arrays(act):
+    pairs = np.array(act, dtype=int).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
+def _constraint_matrix(z, a, b):
+    """Gradients of |z_a - z_b|^2 over (x, y), one column per pair."""
+    n, m = len(z), len(a)
+    w = 2 * (z[a] - z[b]).view(float).reshape(m, 2).T  # rows: real, imaginary
+    G = np.zeros((2, n, m))
+    c = np.arange(m)
+    G[:, a, c] = w
+    G[:, b, c] = -w
+    return G.reshape(2 * n, m)
 
 
 def _grad_real(z):
@@ -231,23 +378,13 @@ def _grad_real(z):
     return np.concatenate([g.real, g.imag])
 
 
-def _nnls(A, y, rounds):
-    lam, *_ = np.linalg.lstsq(A, y, rcond=None)
-    for _ in range(rounds):
-        if (lam >= -1e-12).all():
-            break
-        support = lam > 1e-12
-        refit = np.zeros_like(lam)
-        if support.any():
-            sol, *_ = np.linalg.lstsq(A[:, support], y, rcond=None)
-            refit[support] = sol
-        lam = refit
-    return np.maximum(lam, 0.0)
-
-
-def _kkt_F(z, lam, act):
-    G = _constraint_matrix(z, act)
-    gv = np.array([abs(z[a] - z[b]) ** 2 - 4.0 for a, b in act])
+def _kkt_F(z, lam, a, b):
+    G = _constraint_matrix(z, a, b)
+    # rounded like the scalar abs(w) ** 2: np.hypot is the scalar complex
+    # abs, and the float power (libm pow) can differ from the vectorized
+    # square in the last bit, which Newton would carry into its result
+    w = z[a] - z[b]
+    gv = np.array([x ** 2 for x in np.hypot(w.real, w.imag).tolist()]) - 4.0
     return np.concatenate([_grad_real(z) - G @ lam, gv]), G
 
 
@@ -275,37 +412,44 @@ def _hessian_f(z):
     return H
 
 
-def _newton_kkt(z, act, lam_seed=None, keep=frozenset(), max_rounds=20, tol=1e-11):
+_PAIR_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+def _newton_kkt(z, act, lam_matrix=None, keep=frozenset(), max_rounds=20, tol=1e-11):
     """Active-set Newton solve of the stationarity system.
 
-    Pairs in ``keep`` stay in the working set even with negative multipliers
+    ``lam_matrix`` seeds the first working set's multipliers.  Pairs in
+    ``keep`` stay in the working set even with negative multipliers
     (prescribed graph edges are equality targets).  Returns
     (z, active, multipliers, converged, newton_iters).
     """
     n = len(z)
     act = sorted(set(act))
-    lam = None
-    if lam_seed:
-        lam = np.array([lam_seed.get(e, 0.0) for e in act])
+    a, b = _pair_arrays(act)
+    lam = None if lam_matrix is None else lam_matrix[a, b]
+    iu = np.triu(np.ones((n, n), dtype=bool), 1)
     total_its = 0
     for _ in range(max_rounds):
-        if lam is None or len(lam) != len(act):
-            lam = _nnls(_constraint_matrix(z, act), _grad_real(z), len(act) + 2)
+        # pair c adds -2 lam_c [[1, -1], [-1, 1]] to the Hessian at rows and
+        # columns (a_c, b_c) of both coordinate blocks, in pair order
+        rows = np.stack([a, b, a, b], axis=1).ravel()
+        cols = np.stack([a, b, b, a], axis=1).ravel()
+        at = (np.concatenate([rows, n + rows]), np.concatenate([cols, n + cols]))
+        if lam is None:
+            lam = kkt._nnls_project_resolve(_constraint_matrix(z, a, b), _grad_real(z),
+                                            len(act) + 2)
         zz, lm = z.copy(), lam.copy()
         converged = False
         for _ in range(100):
             total_its += 1
-            F, G = _kkt_F(zz, lm, act)
+            F, G = _kkt_F(zz, lm, a, b)
             nf = np.abs(F).max()
             if nf < tol:
                 converged = True
                 break
             H = _hessian_f(zz)
-            for c, (a, b) in enumerate(act):
-                s = 2.0 * lm[c]
-                for p, qv, sg in ((a, a, 1), (b, b, 1), (a, b, -1), (b, a, -1)):
-                    H[p, qv] -= s * sg
-                    H[n + p, n + qv] -= s * sg
+            s = (2.0 * lm[:, None] * _PAIR_SIGNS).ravel()
+            np.add.at(H, at, -np.concatenate([s, s]))
             m = len(act)
             J = np.zeros((2 * n + m, 2 * n + m))
             J[:2 * n, :2 * n] = H
@@ -322,7 +466,7 @@ def _newton_kkt(z, act, lam_seed=None, keep=frozenset(), max_rounds=20, tol=1e-1
                 if dm.min() < 1e-7:
                     t *= 0.5
                     continue
-                F2, _ = _kkt_F(zt, lt, act)
+                F2, _ = _kkt_F(zt, lt, a, b)
                 if np.abs(F2).max() < nf * (1 - 1e-4 * t) + 1e-15:
                     zz, lm = zt, lt
                     accepted = True
@@ -332,51 +476,33 @@ def _newton_kkt(z, act, lam_seed=None, keep=frozenset(), max_rounds=20, tol=1e-1
                 break
         if not converged:
             return z, act, None, False, total_its
-        # working-set adjustment: add the worst violated pair, else drop the
-        # most negative removable multiplier
+        # working-set adjustment: add the worst violated pair (the first in
+        # row-major order among equals), else drop the most negative
+        # removable multiplier
         d = pairwise_distances(zz)
-        worst, wv = None, 1e-10
-        iu = np.triu_indices(n, 1)
-        sact = set(act)
-        for i, j in zip(*iu):
-            e = (int(i), int(j))
-            if e not in sact and d[i, j] > 2.0 + wv:
-                wv = d[i, j] - 2.0
-                worst = e
-        if worst is not None:
-            act = sorted(sact | {worst})
-            z, lam = zz, None
-            continue
-        removable = [c for c, e in enumerate(act) if e not in keep and lm[c] < -1e-9]
-        if removable:
+        outside = iu & (d > 2.0 + 1e-10)
+        outside[a, b] = False
+        if outside.any():
+            worst = divmod(int(np.where(outside, d, -np.inf).argmax()), n)
+            act = sorted(set(act) | {worst})
+        else:
+            removable = [c for c, e in enumerate(act) if e not in keep and lm[c] < -1e-9]
+            if not removable:
+                return zz, act, lm, True, total_its
             drop = act[min(removable, key=lambda c: lm[c])]
-            act = sorted(sact - {drop})
-            z, lam = zz, None
-            continue
-        return zz, act, lm, True, total_its
+            act.remove(drop)
+        a, b = _pair_arrays(act)
+        z, lam = zz, None
     return z, act, None, False, total_its
 
 
-def _solve_start(n, index, opts: OptimizeOptions, eq_edges):
-    z = _start_config(n, opts.seed, index, eq_edges)
-    eq_mask = np.zeros((n, n), dtype=bool)
-    keep = frozenset()
-    if eq_edges:
-        keep = frozenset((min(a, b), max(a, b)) for a, b in eq_edges)
-        for a, b in keep:
-            eq_mask[a, b] = eq_mask[b, a] = True
-    trace = [] if opts.record_trace else None
-    z, lam_matrix, used = _al_phase(z, eq_mask, opts, trace_out=trace)
-
+def _polish(n, index, z, lam_matrix, used, keep, trace, opts: OptimizeOptions):
+    """Newton polish, certification and summary of one start after its ascent."""
     d = pairwise_distances(z)
-    iu = np.triu_indices(n, 1)
-    act = set(keep)
-    for i, j in zip(*iu):
-        if lam_matrix[i, j] > 1e-7 or d[i, j] >= 2.0 - 1e-5:
-            act.add((int(i), int(j)))
-    lam_seed = {(int(i), int(j)): float(lam_matrix[i, j]) for i, j in zip(*iu)}
-    z2, act2, lm, ok, newton_its = _newton_kkt(z, act, lam_seed, keep=keep)
-    iterations = used + newton_its
+    near = np.triu((lam_matrix > 1e-7) | (d >= 2.0 - 1e-5), 1)
+    act = set(keep) | {(int(i), int(j)) for i, j in zip(*np.nonzero(near))}
+    z2, act2, lm, ok, newton_its = _newton_kkt(z, act, lam_matrix, keep=keep)
+    iterations = int(used) + newton_its
 
     z_final = _rescale(z2 if ok else z)
     config = PointConfig.from_complex(z_final)
@@ -396,28 +522,61 @@ def _solve_start(n, index, opts: OptimizeOptions, eq_edges):
     return summary, config, multipliers, ok
 
 
-def _run(n: int, opts: OptimizeOptions, eq_edges):
+def _solve(n: int, opts: OptimizeOptions, edge_sets):
+    """Every start for every edge set (None: no equality targets), ascended
+    as one stack in chunks of at most _STACK_ENTRIES pair entries.
+
+    Returns, per edge set, its starts' (summary, config, multipliers, ok).
+    """
     if n < 3:
         raise InvalidConfigError("need n >= 3")
-    indices = range(opts.starts)
-    threads = opts.threads
-    if threads <= 0:
-        threads = int(os.environ.get("POLYDISC_THREADS", "1") or 1)
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda s: _solve_start(n, s, opts, eq_edges), indices))
-    else:
-        results = [_solve_start(n, s, opts, eq_edges) for s in indices]
+    jobs = [(edges, s) for edges in edge_sets for s in range(opts.starts)]
+    chunk = max(1, _STACK_ENTRIES // (n * n))
+    results = []
+    for lo in range(0, len(jobs), chunk):
+        part = jobs[lo:lo + chunk]
+        z = np.array([_start_config(n, opts.seed, s, edges) for edges, s in part])
+        keeps = [frozenset((min(a, b), max(a, b)) for a, b in edges or ())
+                 for edges, _ in part]
+        eq = np.zeros((len(part), n, n), dtype=bool)
+        for r, keep in enumerate(keeps):
+            for a, b in keep:
+                eq[r, a, b] = eq[r, b, a] = True
+        traces = [[] for _ in part] if opts.record_trace else None
+        z, lam, used = _al_phase(z, eq if eq.any() else None, opts, traces)
+        results += [_polish(n, s, z[r], lam[r], used[r], keeps[r],
+                            traces[r] if traces else None, opts)
+                    for r, (_, s) in enumerate(part)]
+    return [results[i:i + opts.starts] for i in range(0, len(results), opts.starts)]
 
+
+def _result(results, graph: Optional[DiameterGraph] = None) -> OptimizeResult:
+    """The winning start (largest value, ties to the smaller residual) of one
+    run, with the run's start summaries and, for a target graph, its flags."""
     best = None
     for summary, config, multipliers, ok in results:
         key = (summary.log_delta_bar, -summary.kkt_residual)
         if best is None or key > best[0]:
             best = (key, summary, config, multipliers, ok)
     _, summary, config, multipliers, ok = best
-    total_iters = sum(r[0].iterations for r in results)
-    return results, summary, config, multipliers, ok, total_iters
+    flags = {}
+    if graph is not None:
+        achieved = set(summary.active_set)
+        requested = set(graph.edges)
+        flags = dict(requested_graph=graph,
+                     achieved_matches_request=achieved == requested,
+                     graph_infeasible=not ok or not requested <= achieved)
+    return OptimizeResult(
+        config=config,
+        log_delta_bar=summary.log_delta_bar,
+        iterations=sum(r[0].iterations for r in results),
+        termination=summary.termination,
+        active_set=summary.active_set,
+        kkt_residual=summary.kkt_residual,
+        multipliers=multipliers,
+        starts=tuple(r[0] for r in results),
+        **flags,
+    )
 
 
 def maximize_free(n: int, opts: OptimizeOptions = OptimizeOptions()) -> OptimizeResult:
@@ -427,17 +586,14 @@ def maximize_free(n: int, opts: OptimizeOptions = OptimizeOptions()) -> Optimize
     """
     if opts.graph is not None:
         return maximize_with_graph(n, opts.graph, opts)
-    results, summary, config, multipliers, ok, total = _run(n, opts, eq_edges=None)
-    return OptimizeResult(
-        config=config,
-        log_delta_bar=summary.log_delta_bar,
-        iterations=total,
-        termination=summary.termination,
-        active_set=summary.active_set,
-        kkt_residual=summary.kkt_residual,
-        multipliers=multipliers,
-        starts=tuple(r[0] for r in results),
-    )
+    return _result(_solve(n, opts, [None])[0])
+
+
+def _check_graph(n: int, graph: DiameterGraph) -> None:
+    if graph.n != n:
+        raise InvalidConfigError("graph order does not match n")
+    if len(graph.edges) > n:
+        raise InvalidConfigError("a realizable diameter graph has at most n edges")
 
 
 def maximize_with_graph(n: int, graph: DiameterGraph,
@@ -447,41 +603,27 @@ def maximize_with_graph(n: int, graph: DiameterGraph,
     The result records whether the achieved active set equals the requested
     edge set; an unreachable edge set yields a flagged result, not an error.
     """
-    if graph.n != n:
-        raise InvalidConfigError("graph order does not match n")
-    if len(graph.edges) > n:
-        raise InvalidConfigError("a realizable diameter graph has at most n edges")
-    results, summary, config, multipliers, ok, total = _run(n, opts, eq_edges=graph.edges)
-    achieved = set(summary.active_set)
-    requested = set(graph.edges)
-    infeasible = not ok or not requested <= achieved
-    return OptimizeResult(
-        config=config,
-        log_delta_bar=summary.log_delta_bar,
-        iterations=total,
-        termination=summary.termination,
-        active_set=summary.active_set,
-        kkt_residual=summary.kkt_residual,
-        multipliers=multipliers,
-        starts=tuple(r[0] for r in results),
-        requested_graph=graph,
-        achieved_matches_request=achieved == requested,
-        graph_infeasible=infeasible,
-    )
+    _check_graph(n, graph)
+    return _result(_solve(n, opts, [graph.edges])[0], graph)
 
 
 def sweep_graphs(n: int, opts: OptimizeOptions = OptimizeOptions(),
                  graphs=None, max_n: int = 12):
     """Run the graph-targeted optimizer over all admissible diameter graphs.
 
-    Returns (graph, result) pairs sorted by decreasing log Delta-bar.
+    All starts of all graphs ascend as one stack; each graph's result equals
+    that of maximize_with_graph.  Returns (graph, result) pairs sorted by
+    decreasing log Delta-bar.
     """
     from .diamgraph import enumerate_caterpillars, enumerate_unicyclic_candidates
     if n > max_n:
         raise InvalidConfigError(f"sweep capped at n = {max_n}")
     if graphs is None:
         graphs = enumerate_caterpillars(n) + enumerate_unicyclic_candidates(n)
-    ranked = [(g, maximize_with_graph(n, g, opts)) for g in graphs]
+    for g in graphs:
+        _check_graph(n, g)
+    solved = _solve(n, opts, [g.edges for g in graphs])
+    ranked = [(g, _result(results, g)) for g, results in zip(graphs, solved)]
     # near-ties in value go to the graph that was achieved exactly, then to
     # the cleaner stationary point
     ranked.sort(key=lambda item: (round(item[1].log_delta_bar, 9),

@@ -107,6 +107,22 @@ class TestEvaluate:
     def test_missing_file(self):
         assert run("evaluate", "/no/such/file.json") == 3
 
+    @pytest.mark.parametrize("command", ["evaluate", "kkt"])
+    def test_json_list_rejected(self, tmp_path, capsys, command):
+        path = tmp_path / "list.json"
+        path.write_text("[[0, 0], [1, 1]]")
+        assert run(command, str(path)) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["evaluate", "kkt"])
+    @pytest.mark.parametrize("points", ['[["a", 0], [1, 1]]', "[[0, 0], [1, 1, 2]]",
+                                        "[[0, 0, 0], [1, 1, 1]]"])
+    def test_bad_points_rejected(self, tmp_path, capsys, command, points):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"schema_version": 1, "n": 2, "points": {points}, "meta": {{}}}}')
+        assert run(command, str(path)) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestOptimize:
     def test_deterministic_output(self, tmp_path):
@@ -136,6 +152,10 @@ class TestOptimize:
         assert rows[0] == ["start", "round", "step", "merit", "log_delta_bar"]
         assert len(rows) > 2
 
+    def test_threads_flag_is_unknown(self, tmp_path):
+        assert run("optimize", "--n", "4", "--threads", "2",
+                   "--out", str(tmp_path / "o.json")) == 2
+
 
 class TestTable:
     def test_arc_column(self, tmp_path):
@@ -163,6 +183,10 @@ class TestTable:
 
     def test_empty_n_list(self, tmp_path):
         assert run("table", "--n", "", "--out", str(tmp_path / "x.csv")) == 2
+
+    def test_non_integer_n_rejected(self, tmp_path, capsys):
+        assert run("table", "--n", "x", "--out", str(tmp_path / "x.csv")) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestOtherFamilies:

@@ -62,6 +62,16 @@ class TestDiscriminant:
         report68 = evaluate(regular_ngon(68))
         assert not report68.log_only and math.isfinite(report68.delta)
 
+    def test_delta_bar_past_float_range_is_inf(self):
+        # 60 Gaussian points at scale 100: log Delta ~ 1.8e4, and even
+        # Delta / n^n is past the float range without a rescale
+        cfg = PointConfig(np.random.default_rng(0).normal(size=(60, 2)) * 100)
+        report = evaluate(cfg)
+        assert report.log_only and report.delta == math.inf
+        assert report.delta_bar == math.inf
+        assert normalized_discriminant(cfg, rescale_to_diameter=False) == math.inf
+        assert math.isfinite(normalized_discriminant(cfg))
+
 
 class TestNormalizedDiscriminant:
     def test_kite_value(self):

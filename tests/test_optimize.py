@@ -15,6 +15,7 @@ from polydisc import (
     parse_graph_text,
     sweep_graphs,
 )
+from polydisc import optimize
 from polydisc.constructions import hexagon6, kite4, regular_ngon
 from polydisc.geometry import diameter, pairwise_distances
 
@@ -81,10 +82,25 @@ class TestMaximizeFree:
         assert np.array_equal(a.config.points, b.config.points)
         assert a.active_set == b.active_set
 
-    def test_threads_match_serial(self):
-        a = maximize_free(4, OptimizeOptions(seed=5, starts=6, threads=1))
-        b = maximize_free(4, OptimizeOptions(seed=5, starts=6, threads=3))
-        assert np.array_equal(a.config.points, b.config.points)
+    def test_start_does_not_depend_on_batch(self):
+        # start i takes the same steps in a batch of 1, 3 or 6 starts
+        full = maximize_free(6, OptimizeOptions(seed=5, starts=6)).starts
+        for size in (1, 3):
+            part = maximize_free(6, OptimizeOptions(seed=5, starts=size)).starts
+            assert part == full[:size]
+
+    def test_chunks_match_one_stack(self, monkeypatch):
+        opts = OptimizeOptions(seed=2, starts=5)
+        whole = maximize_free(6, opts)
+        monkeypatch.setattr(optimize, "_STACK_ENTRIES", 2 * 6 * 6)  # 2 starts a chunk
+        chunked = maximize_free(6, opts)
+        assert chunked.starts == whole.starts
+        assert np.array_equal(chunked.config.points, whole.config.points)
+
+    def test_nonpositive_penalty_rejected(self):
+        from polydisc import InvalidConfigError
+        with pytest.raises(InvalidConfigError):
+            OptimizeOptions(penalty_init=0.0)
 
     def test_merit_monotone_within_rounds(self):
         opts = OptimizeOptions(seed=3, starts=2, record_trace=True)
@@ -173,6 +189,13 @@ class TestSweep:
         with pytest.raises(InvalidConfigError):
             sweep_graphs(20)
 
+    def test_matches_per_graph_runs(self):
+        opts = OptimizeOptions(seed=11, starts=2)
+        for graph, result in sweep_graphs(5, opts):
+            alone = maximize_with_graph(5, graph, opts)
+            assert alone.starts == result.starts
+            assert np.array_equal(alone.config.points, result.config.points)
+
     def test_n8_only_unicyclic_deletions_beat_five_quarters(self):
         # the caterpillars that clear 5/4 are exactly the one-edge deletions
         # of the winning eight-edge unicyclic graph
@@ -200,6 +223,63 @@ class TestSweep:
         for g, res in ranked:
             if classify(g).kind == GraphKind.CATERPILLAR and res.delta_bar > 1.25:
                 assert tuple(sorted(g.degrees())) in deletion_keys
+
+
+# Output of maximize_free(8, OptimizeOptions(seed=1, starts=16)) recorded
+# from the one-start-at-a-time optimizer (numpy 2.4, x86-64): per start
+# (log_delta_bar, iterations, termination, active_set), then the winner.
+PINNED_STARTS = [
+    (0.2235209602607675, 778, 'gradient-converged',
+     ((0, 3), (0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (3, 6), (3, 7))),
+    (0.2235209602607604, 830, 'gradient-converged',
+     ((0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (4, 7))),
+    (0.2235209602607675, 1187, 'gradient-converged',
+     ((0, 3), (0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (3, 6), (3, 7))),
+    (0.2235209602607533, 780, 'gradient-converged',
+     ((0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (3, 6), (3, 7), (4, 7))),
+    (0.2235209602607675, 781, 'gradient-converged',
+     ((0, 4), (0, 5), (1, 5), (2, 5), (2, 6), (2, 7), (3, 7), (4, 7))),
+    (0.22352096026075685, 799, 'gradient-converged',
+     ((0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (4, 7))),
+    (0.2235209602607675, 944, 'gradient-converged',
+     ((0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (4, 7))),
+    (0.2235209602607675, 776, 'gradient-converged',
+     ((0, 3), (0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (3, 6), (3, 7))),
+    (0.2235209602607604, 1232, 'gradient-converged',
+     ((0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (4, 7))),
+    (0.2235209602607675, 847, 'gradient-converged',
+     ((0, 3), (0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (3, 6), (3, 7))),
+    (0.22352096026076396, 509, 'gradient-converged',
+     ((0, 3), (0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (3, 6), (3, 7))),
+    (0.22352096026075685, 834, 'gradient-converged',
+     ((0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (4, 7))),
+    (0.22352096026076396, 991, 'gradient-converged',
+     ((0, 3), (0, 4), (0, 5), (1, 5), (2, 5), (2, 6), (3, 6), (3, 7))),
+    (0.2235209602607533, 994, 'gradient-converged',
+     ((0, 3), (0, 4), (0, 5), (1, 5), (2, 5), (2, 6), (2, 7), (3, 7))),
+    (0.2235209602607675, 802, 'gradient-converged',
+     ((0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (4, 7))),
+    (0.2235209602607675, 790, 'gradient-converged',
+     ((0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (3, 6), (3, 7), (4, 7))),
+]
+PINNED_POINTS = [
+    [0.8484344901240868, 0.10484333753713121],
+    [0.5821930078356299, 0.9261010454148507],
+    [-0.20606378711888895, 1.0079725323102018],
+    [-0.7802032569408197, 0.5431312604726798],
+    [-1.1423659753302493, -0.08676435214884776],
+    [-0.6667137045552433, -0.6360231569919297],
+    [-0.01445609743290978, -0.9828279331441344],
+    [0.7437158129854031, -0.7521180083227883],
+]
+
+
+def test_seeded_run_is_pinned():
+    result = maximize_free(8, OptimizeOptions(seed=1, starts=16))
+    got = [(s.log_delta_bar, s.iterations, s.termination, s.active_set)
+           for s in result.starts]
+    assert got == PINNED_STARTS
+    assert result.config.points.tolist() == PINNED_POINTS
 
 
 class TestGauge:
