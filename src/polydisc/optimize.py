@@ -270,21 +270,21 @@ class _Ascent:
         nd = np.maximum.reduce(np.abs(d), axis=1)
         going = nd >= self.gtol
         rows = slice(None) if going.all() else np.flatnonzero(going)
-        found, z_new, phi_new, step = _line_search(
+        found, z_new, phi_new, taken = _line_search(
             self.z[rows], d[rows] / nd[rows, None], self.phi[rows], self.alpha[rows],
             self.lam[rows], self.mu[rows], self._eq(rows))
-        if found is None and isinstance(rows, slice):
+        if found is None and isinstance(rows, slice):  # the usual case: all rows move
             moved = slice(None)
             self.z, self.phi = z_new, phi_new
-            self.alpha = np.minimum(step * 2.0, 1.0)
+            self.alpha = np.minimum(taken * 2.0, 1.0)
         else:
             moved = np.arange(len(self.ids))[rows]
             if found is not None:
                 moved = moved[found]
-                z_new, phi_new, step = z_new[found], phi_new[found], step[found]
+                z_new, phi_new, taken = z_new[found], phi_new[found], taken[found]
             self.z[moved] = z_new
             self.phi[moved] = phi_new
-            self.alpha[moved] = np.minimum(step * 2.0, 1.0)
+            self.alpha[moved] = np.minimum(taken * 2.0, 1.0)
             ended = np.ones(len(self.ids), dtype=bool)
             ended[moved] = False
             self.stop_at[ended] = self.it
