@@ -49,6 +49,10 @@ def write_config(path: str, config: PointConfig, meta: dict) -> None:
         fh.write("\n")
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def read_config(path: str) -> tuple[PointConfig, dict]:
     with open(path) as fh:
         doc = json.load(fh)
@@ -59,9 +63,11 @@ def read_config(path: str) -> tuple[PointConfig, dict]:
     points = doc.get("points", [])
     if not isinstance(points, list) or len(points) != doc.get("n"):
         raise _UsageError("point count does not match n")
+    if not all(isinstance(p, list) and all(map(_is_number, p)) for p in points):
+        raise _UsageError("points must be [x, y] pairs of numbers")
     try:
         arr = np.asarray(points, dtype=float)
-    except (TypeError, ValueError):
+    except (OverflowError, ValueError):
         raise _UsageError("points must be [x, y] pairs of numbers") from None
     if arr.size and arr.shape[1:] != (2,):
         raise _UsageError("points must be [x, y] pairs of numbers")
@@ -91,7 +97,7 @@ def write_svg(path: str, config: PointConfig) -> None:
         return x, y
 
     graph = diamgraph.extract(config, 1e-9) if config.n >= 2 else None
-    hull_idx = _hull_indices(pts)
+    hull_idx = geometry.hull_indices(pts, 0.0)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" '
@@ -118,29 +124,6 @@ def write_svg(path: str, config: PointConfig) -> None:
     lines.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _hull_indices(pts: np.ndarray) -> list[int]:
-    n = len(pts)
-    if n < 3:
-        return list(range(n))
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-
-    def cross(o, a, b):
-        return ((pts[a][0] - pts[o][0]) * (pts[b][1] - pts[o][1])
-                - (pts[a][1] - pts[o][1]) * (pts[b][0] - pts[o][0]))
-
-    def half(idx_iter):
-        out = []
-        for i in idx_iter:
-            while len(out) > 1 and cross(out[-2], out[-1], i) <= 0:
-                out.pop()
-            out.append(i)
-        return out
-
-    lower = half(order)
-    upper = half(order[::-1])
-    return lower[:-1] + upper[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +437,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InvalidConfigError, json.JSONDecodeError) as exc:
+    except (InvalidConfigError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FileNotFoundError as exc:

@@ -15,10 +15,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from .errors import InvalidConfigError, SingularConfigError
-from .geometry import PointConfig, is_convex_position, pairwise_distances
+from .geometry import (PointConfig, diameter, is_convex_position, pairwise_distances,
+                       upper_pairs)
 
 Edge = tuple[int, int]
 
@@ -96,10 +95,7 @@ def extract(config: PointConfig, rel_tol: float = 1e-9) -> DiameterGraph:
     if n < 2:
         raise InvalidConfigError("diameter graph requires n >= 2")
     d = pairwise_distances(config.as_complex)
-    diam = d.max()
-    cut = (1.0 - rel_tol) * diam
-    iu = np.triu_indices(n, 1)
-    edges = frozenset((int(i), int(j)) for i, j in zip(*iu) if d[i, j] >= cut)
+    edges = frozenset(upper_pairs(d >= (1.0 - rel_tol) * d.max()))
     return DiameterGraph(n=n, edges=edges, tol=rel_tol)
 
 
@@ -333,8 +329,7 @@ def check_pairwise_intersection(config: PointConfig, graph: DiameterGraph) -> bo
     edges = sorted(graph.edges)
     if len(edges) < 2:
         return True
-    from .geometry import diameter as _diam
-    scale = _diam(config) if config.n >= 2 else 1.0
+    scale = diameter(config) if config.n >= 2 else 1.0
     eps = 1e-9 * scale ** 2
     eps_len = 1e-9 * scale
     for (a, b), (c, d) in itertools.combinations(edges, 2):

@@ -184,27 +184,41 @@ def is_convex_position(config: PointConfig, tol: float = 1e-9) -> bool:
         raise InvalidConfigError("convex position requires n >= 3")
     if not config.is_distinct():
         raise SingularConfigError("coincident points")
-    pts = config.points
-    eps = tol * diameter(config) ** 2
+    return len(hull_indices(config.points, tol * diameter(config) ** 2)) == n
 
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    sorted_pts = pts[order]
+
+def hull_indices(points: np.ndarray, eps: float) -> list[int]:
+    """Indices of the convex hull vertices of an (n, 2) array (monotone chain).
+
+    The walk starts at the lowest point in (x, y) order and runs
+    counterclockwise.  A turn whose cross product is at most ``eps`` is not a
+    vertex, so points on a hull edge are left out.  Fewer than three points
+    are returned in their given order.
+    """
+    n = len(points)
+    if n < 3:
+        return list(range(n))
+    order = np.lexsort((points[:, 1], points[:, 0])).tolist()
 
     def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+        po, pa, pb = points[o], points[a], points[b]
+        return (pa[0] - po[0]) * (pb[1] - po[1]) - (pa[1] - po[1]) * (pb[0] - po[0])
 
-    def chain(points):
+    def chain(indices):
         hull = []
-        for p in points:
-            while len(hull) > 1 and cross(hull[-2], hull[-1], p) <= eps:
+        for i in indices:
+            while len(hull) > 1 and cross(hull[-2], hull[-1], i) <= eps:
                 hull.pop()
-            hull.append(p)
+            hull.append(i)
         return hull
 
-    lower = chain(sorted_pts)
-    upper = chain(sorted_pts[::-1])
-    hull_pts = lower[:-1] + upper[:-1]
-    return len(hull_pts) == n
+    return chain(order)[:-1] + chain(order[::-1])[:-1]
+
+
+def upper_pairs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """Pairs (i, j) with i < j where the (n, n) mask holds, in row-major order."""
+    i, j = np.nonzero(np.triu(mask, 1))
+    return list(zip(i.tolist(), j.tolist()))
 
 
 def objective_gradient(config: PointConfig) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, SingularConfigError
-from .geometry import PointConfig, pairwise_distances
+from .geometry import PointConfig, pairwise_distances, upper_pairs
 
 Pair = tuple[int, int]
 
@@ -44,13 +44,8 @@ def active_set(config: PointConfig, rel_tol: float = 1e-9) -> list[Pair]:
 
     The configuration is expected to be normalized to diameter 2.
     """
-    n = config.n
-    if n < 2:
-        return []
     d2 = pairwise_distances(config.as_complex) ** 2
-    cut = 4.0 * (1.0 - rel_tol)
-    iu = np.triu_indices(n, 1)
-    return [(int(i), int(j)) for i, j in zip(*iu) if d2[i, j] >= cut]
+    return upper_pairs(d2 >= 4.0 * (1.0 - rel_tol))
 
 
 def stationarity_lhs(z: np.ndarray) -> np.ndarray:
@@ -62,15 +57,31 @@ def stationarity_lhs(z: np.ndarray) -> np.ndarray:
     return inv.sum(axis=1)
 
 
-def _constraint_columns(z: np.ndarray, active) -> np.ndarray:
-    """Complex (n, m) matrix whose column for pair {a,b} holds conj(z_b - z_a) at
-    row a and its negative at row b."""
-    n = len(z)
-    M = np.zeros((n, len(active)), dtype=complex)
-    for c, (a, b) in enumerate(active):
-        M[a, c] = np.conj(z[b]) - np.conj(z[a])
-        M[b, c] = np.conj(z[a]) - np.conj(z[b])
-    return M
+def _pair_arrays(pairs):
+    """The first and the second indices of a list of pairs, as two int arrays."""
+    pairs = np.array(pairs, dtype=int).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
+def _constraint_matrix(z, a, b):
+    """Real (2n, m) Jacobian of the gaps |z_a - z_b|^2 - 4: rows are the x
+    then the y coordinates, one column per pair."""
+    n, m = len(z), len(a)
+    w = 2 * (z[a] - z[b]).view(float).reshape(m, 2).T  # rows: real, imaginary
+    G = np.zeros((2, n, m))
+    c = np.arange(m)
+    G[:, a, c] = w
+    G[:, b, c] = -w
+    return G.reshape(2 * n, m)
+
+
+def _constraint_gaps(z, a, b):
+    """|z_a - z_b|^2 - 4 per pair."""
+    # rounded like the scalar abs(w) ** 2: np.hypot is the scalar complex
+    # abs, and the float power (libm pow) can differ from the vectorized
+    # square in the last bit, which Newton would carry into its result
+    w = z[a] - z[b]
+    return np.array([x ** 2 for x in np.hypot(w.real, w.imag).tolist()]) - 4.0
 
 
 def _nnls_project_resolve(A: np.ndarray, y: np.ndarray, rounds: int) -> np.ndarray:
@@ -88,6 +99,28 @@ def _nnls_project_resolve(A: np.ndarray, y: np.ndarray, rounds: int) -> np.ndarr
     return np.maximum(lam, 0.0)
 
 
+def _fit(z: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nonnegative multipliers of the active pairs (a < b) and the per-point
+    stationarity residual they leave."""
+    L = stationarity_lhs(z)
+    n, m = len(z), len(a)
+    if not m:
+        return np.zeros(0), L
+    # A = [M.real; M.imag] for the complex columns M, whose column for pair
+    # {a, b} holds conj(z_b - z_a) at row a and its negative at row b: that
+    # is -G[:n] / 2 + i G[n:] / 2 for the Jacobian G, exactly, as halving and
+    # negation do not round.  Every zero is made +0.0, because the Householder
+    # reflections of the least-squares solver read the sign of a zero.  Built
+    # in place, so that no more than two (2n, m) arrays are alive at a time.
+    A = _constraint_matrix(z, a, b) / 2
+    np.subtract(0.0, A[:n], out=A[:n])
+    A[n:] += 0.0
+    lam = _nnls_project_resolve(A, np.concatenate([L.real, L.imag]), m + 2)
+    M = np.empty((n, m), dtype=complex)
+    M.real, M.imag = A[:n], A[n:]
+    return lam, L - M @ lam
+
+
 def recover_multipliers(config: PointConfig, active) -> tuple[dict, float]:
     """Nonnegative multipliers best explaining the stationarity identity.
 
@@ -97,27 +130,9 @@ def recover_multipliers(config: PointConfig, active) -> tuple[dict, float]:
     """
     if not config.is_distinct():
         raise SingularConfigError("coincident points")
-    z = config.as_complex
-    L = stationarity_lhs(z)
     active = [(min(a, b), max(a, b)) for a, b in active]
-    if not active:
-        return {}, float(np.abs(L).max())
-    M = _constraint_columns(z, active)
-    A = np.vstack([M.real, M.imag])
-    y = np.concatenate([L.real, L.imag])
-    lam = _nnls_project_resolve(A, y, rounds=len(active) + 2)
-    resid = L - M @ lam
+    lam, resid = _fit(config.as_complex, *_pair_arrays(active))
     return dict(zip(active, lam.tolist())), float(np.abs(resid).max())
-
-
-def residual_norms(config: PointConfig, multipliers: dict) -> tuple[float, float]:
-    """(max per-point modulus, 2-norm) of the stationarity residual."""
-    z = config.as_complex
-    active = sorted(multipliers)
-    lam = np.array([multipliers[e] for e in active])
-    L = stationarity_lhs(z)
-    resid = L if not active else L - _constraint_columns(z, active) @ lam
-    return float(np.abs(resid).max()), float(np.linalg.norm(resid))
 
 
 def verify(config: PointConfig, rel_tol: float = 1e-9) -> KKTReport:
@@ -127,25 +142,19 @@ def verify(config: PointConfig, rel_tol: float = 1e-9) -> KKTReport:
     if not config.is_distinct():
         raise SingularConfigError("coincident points")
     act = active_set(config, rel_tol)
-    multipliers, _ = recover_multipliers(config, act)
-    res_max, res_2 = residual_norms(config, multipliers)
     z = config.as_complex
-    comp = 0.0
-    for (a, b), lam in multipliers.items():
-        g = abs(z[a] - z[b]) ** 2 - 4.0
-        comp = max(comp, abs(lam * g))
-    degree = {k: 0 for k in range(config.n)}
-    for a, b in act:
-        degree[a] += 1
-        degree[b] += 1
-    zero_deg = tuple(k for k, c in degree.items() if c == 0)
+    a, b = _pair_arrays(act)
+    lam, resid = _fit(z, a, b)
+    comp = float(np.abs(lam * _constraint_gaps(z, a, b)).max(initial=0.0))
+    degree = np.bincount(np.concatenate([a, b]), minlength=config.n)
+    multipliers = dict(zip(act, lam.tolist()))
     return KKTReport(
         n=config.n,
         active_set=tuple(sorted(act)),
         multipliers=multipliers,
-        stationarity_residual=res_max,
-        residual_norm2=res_2,
+        stationarity_residual=float(np.abs(resid).max()),
+        residual_norm2=float(np.linalg.norm(resid)),
         min_multiplier=min(multipliers.values(), default=0.0),
         complementarity_violation=comp,
-        zero_degree_points=zero_deg,
+        zero_degree_points=tuple(np.flatnonzero(degree == 0).tolist()),
     )

@@ -21,7 +21,9 @@ import numpy as np
 from . import kkt
 from .diamgraph import DiameterGraph
 from .errors import InvalidConfigError
-from .geometry import PointConfig, complex_gradient, log_delta_bar, pairwise_distances
+from .geometry import (PointConfig, complex_gradient, log_delta_bar, pairwise_distances,
+                       upper_pairs)
+from .kkt import _constraint_gaps, _constraint_matrix, _pair_arrays
 
 TERM_CONVERGED = "gradient-converged"
 TERM_ITERATION_CAP = "iteration-cap"
@@ -357,22 +359,6 @@ def _al_phase(z, eq, opts: OptimizeOptions, traces=None):
     return z_out, lam_out, used_out
 
 
-def _pair_arrays(act):
-    pairs = np.array(act, dtype=int).reshape(-1, 2)
-    return pairs[:, 0], pairs[:, 1]
-
-
-def _constraint_matrix(z, a, b):
-    """Gradients of |z_a - z_b|^2 over (x, y), one column per pair."""
-    n, m = len(z), len(a)
-    w = 2 * (z[a] - z[b]).view(float).reshape(m, 2).T  # rows: real, imaginary
-    G = np.zeros((2, n, m))
-    c = np.arange(m)
-    G[:, a, c] = w
-    G[:, b, c] = -w
-    return G.reshape(2 * n, m)
-
-
 def _grad_real(z):
     g = complex_gradient(z)
     return np.concatenate([g.real, g.imag])
@@ -380,12 +366,7 @@ def _grad_real(z):
 
 def _kkt_F(z, lam, a, b):
     G = _constraint_matrix(z, a, b)
-    # rounded like the scalar abs(w) ** 2: np.hypot is the scalar complex
-    # abs, and the float power (libm pow) can differ from the vectorized
-    # square in the last bit, which Newton would carry into its result
-    w = z[a] - z[b]
-    gv = np.array([x ** 2 for x in np.hypot(w.real, w.imag).tolist()]) - 4.0
-    return np.concatenate([_grad_real(z) - G @ lam, gv]), G
+    return np.concatenate([_grad_real(z) - G @ lam, _constraint_gaps(z, a, b)]), G
 
 
 def _hessian_f(z):
@@ -499,8 +480,7 @@ def _newton_kkt(z, act, lam_matrix=None, keep=frozenset(), max_rounds=20, tol=1e
 def _polish(n, index, z, lam_matrix, used, keep, trace, opts: OptimizeOptions):
     """Newton polish, certification and summary of one start after its ascent."""
     d = pairwise_distances(z)
-    near = np.triu((lam_matrix > 1e-7) | (d >= 2.0 - 1e-5), 1)
-    act = set(keep) | {(int(i), int(j)) for i, j in zip(*np.nonzero(near))}
+    act = set(keep) | set(upper_pairs((lam_matrix > 1e-7) | (d >= 2.0 - 1e-5)))
     z2, act2, lm, ok, newton_its = _newton_kkt(z, act, lam_matrix, keep=keep)
     iterations = int(used) + newton_its
 
@@ -523,8 +503,9 @@ def _polish(n, index, z, lam_matrix, used, keep, trace, opts: OptimizeOptions):
 
 
 def _solve(n: int, opts: OptimizeOptions, edge_sets):
-    """Every start for every edge set (None: no equality targets), ascended
-    as one stack in chunks of at most _STACK_ENTRIES pair entries.
+    """Every start for every edge set (a DiameterGraph's edges, so each pair
+    is (a, b) with a < b; None: no equality targets), ascended as one stack
+    in chunks of at most _STACK_ENTRIES pair entries.
 
     Returns, per edge set, its starts' (summary, config, multipliers, ok).
     """
@@ -536,8 +517,7 @@ def _solve(n: int, opts: OptimizeOptions, edge_sets):
     for lo in range(0, len(jobs), chunk):
         part = jobs[lo:lo + chunk]
         z = np.array([_start_config(n, opts.seed, s, edges) for edges, s in part])
-        keeps = [frozenset((min(a, b), max(a, b)) for a, b in edges or ())
-                 for edges, _ in part]
+        keeps = [edges or frozenset() for edges, _ in part]
         eq = np.zeros((len(part), n, n), dtype=bool)
         for r, keep in enumerate(keeps):
             for a, b in keep:

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from polydisc.cli import main, read_config, write_config
+from polydisc.cli import main, read_config, write_config, write_svg
 from polydisc.geometry import PointConfig
 
 
@@ -59,6 +59,18 @@ class TestConstruct:
         diameters = [e for e in root.iter(f"{ns}line") if e.get("class") == "diameter"]
         assert len(points) == 4
         assert len(diameters) == 4  # the kite has four diameter pairs
+
+    def test_svg_hull_omits_interior_point(self, tmp_path):
+        cfg = PointConfig([[1, 0], [0, 1], [-1, 0], [0.1, 0.2], [0, -1]])
+        svg = tmp_path / "inner.svg"
+        write_svg(str(svg), cfg)
+        root = ET.fromstring(svg.read_text())
+        ns = "{http://www.w3.org/2000/svg}"
+        hull, = [e for e in root.iter(f"{ns}polygon") if e.get("class") == "hull"]
+        points = [(e.get("cx"), e.get("cy")) for e in root.iter(f"{ns}circle")
+                  if e.get("class") == "point"]
+        vertices = [tuple(v.split(",")) for v in hull.get("points").split()]
+        assert sorted(vertices) == sorted(points[:3] + points[4:])
 
 
 class TestRoundTrip:
@@ -116,7 +128,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("command", ["evaluate", "kkt"])
     @pytest.mark.parametrize("points", ['[["a", 0], [1, 1]]', "[[0, 0], [1, 1, 2]]",
-                                        "[[0, 0, 0], [1, 1, 1]]"])
+                                        "[[0, 0, 0], [1, 1, 1]]", '[["1", "0"], [1, 1]]',
+                                        "[[true, 0], [1, 1]]"])
     def test_bad_points_rejected(self, tmp_path, capsys, command, points):
         path = tmp_path / "bad.json"
         path.write_text(f'{{"schema_version": 1, "n": 2, "points": {points}, "meta": {{}}}}')

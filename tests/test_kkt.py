@@ -11,8 +11,9 @@ from polydisc import (
     regular_ngon,
     verify,
 )
-from polydisc.constructions import hexagon6, kite4, triwave
+from polydisc.constructions import dodecagon12, hexagon6, kite4, triwave
 from polydisc.geometry import normalize_to_diameter
+from polydisc.kkt import _nnls_project_resolve, stationarity_lhs
 
 SQRT7 = math.sqrt(7.0)
 
@@ -125,3 +126,71 @@ class TestInvariants:
     def test_path_graph_value_is_one(self):
         from polydisc import normalized_discriminant
         assert normalized_discriminant(P4_CONFIG) == pytest.approx(1.0, abs=1e-12)
+
+
+# verify() outputs recorded with numpy 2.4.6 on x86-64, as float.hex strings;
+# a change to the KKT algebra that moves any bit of them fails here
+PINNED_VERIFY = {
+    "dodecagon12": dict(
+        active=[(0, 1), (1, 2), (1, 3), (2, 11), (3, 6), (4, 5), (5, 6), (5, 7),
+                (7, 10), (8, 9), (9, 10), (9, 11)],
+        multipliers=["0x1.37d876fffda72p+1", "0x1.3bb30d9ad5d3ep-2", "0x1.3bb30d9ad5d8dp-2",
+                     "0x1.393ac5994ce3ep+1", "0x1.393ac5994ce3dp+1", "0x1.37d876fffda71p+1",
+                     "0x1.3bb30d9ad5d53p-2", "0x1.3bb30d9ad5d7ap-2", "0x1.393ac5994ce3dp+1",
+                     "0x1.37d876fffda7ap+1", "0x1.3bb30d9ad5d68p-2", "0x1.3bb30d9ad5d40p-2"],
+        residual="0x1.68f9f8dbb6fe6p-47",
+        residual_norm2="0x1.55ba73b04de61p-46",
+        complementarity="0x1.393ac5994ce3ep-49",
+    ),
+    "regular7": dict(
+        active=[(0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 6), (3, 6)],
+        multipliers=["0x1.8000000000001p-1", "0x1.7fffffffffffcp-1", "0x1.8000000000002p-1",
+                     "0x1.7fffffffffff9p-1", "0x1.8000000000003p-1", "0x1.7fffffffffffap-1",
+                     "0x1.7fffffffffffbp-1"],
+        residual="0x1.ad5336963eefcp-50",
+        residual_norm2="0x1.548a6e5c2c110p-49",
+        complementarity="0x0.0p+0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_VERIFY))
+def test_verify_is_pinned(name):
+    config = dodecagon12()[1] if name == "dodecagon12" else regular_ngon(7)
+    pin = PINNED_VERIFY[name]
+    report = verify(config)
+    assert report.active_set == tuple(pin["active"])
+    assert list(report.multipliers) == pin["active"]
+    assert [v.hex() for v in report.multipliers.values()] == pin["multipliers"]
+    assert report.stationarity_residual.hex() == pin["residual"]
+    assert report.residual_norm2.hex() == pin["residual_norm2"]
+    assert float(report.complementarity_violation).hex() == pin["complementarity"]
+
+
+def _loop_fit(config, active):
+    """Reference: the complex constraint columns built pair by pair."""
+    z = config.as_complex
+    M = np.zeros((config.n, len(active)), dtype=complex)
+    for c, (a, b) in enumerate(active):
+        M[a, c] = np.conj(z[b]) - np.conj(z[a])
+        M[b, c] = np.conj(z[a]) - np.conj(z[b])
+    L = stationarity_lhs(z)
+    lam = _nnls_project_resolve(np.vstack([M.real, M.imag]),
+                                np.concatenate([L.real, L.imag]), len(active) + 2)
+    return lam.tolist(), float(np.abs(L - M @ lam).max())
+
+
+# grid points make exactly horizontal and vertical pairs, whose zero
+# coordinate differences carry a sign the least-squares solver reads
+@pytest.mark.parametrize("points", [
+    [[0, 0], [2, 0], [1, 1], [1, -1], [0.5, 0.25]],
+    [[0, 1], [0, -1], [1, 0], [-1, 0], [0.5, 0.5]],
+    [[1, 1], [-1, -1], [1, -1], [-1, 1], [0, 0.5], [0.5, 0]],
+    [[0, 0], [1, 0], [2, 0], [0, 1], [2, 1], [1, 2]],
+])
+@pytest.mark.parametrize("rel_tol", [1e-9, 0.5])
+def test_multipliers_match_loop_reference(points, rel_tol):
+    config = normalize_to_diameter(PointConfig(points), 2.0)
+    active = active_set(config, rel_tol)
+    lam, residual = recover_multipliers(config, active)
+    assert (list(lam.values()), residual) == _loop_fit(config, active)
