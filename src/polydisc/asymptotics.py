@@ -228,17 +228,18 @@ def j_series_error(r_max: int) -> float:
     return 32.0 / math.pi ** 4 * 8.0 / m ** 4 + 1e-15
 
 
-def _rho_matrix(theta: np.ndarray) -> np.ndarray:
+def _rho_matrix(theta: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """rho(x, y) = (f(x) - f(y)) / (e^{ix} - e^{iy}) with f = tri(3 t) e^{it},
-    zero on the diagonal, evaluated on the full angle grid."""
-    g = tri(3.0 * theta)
+    zero on the diagonal: rows lo to hi (all by default) of the matrix on the
+    full angle grid."""
     xi = np.exp(1j * theta)
-    f = g * xi
-    num = f[:, None] - f[None, :]
-    den = xi[:, None] - xi[None, :]
-    np.fill_diagonal(den, 1.0)
+    f = tri(3.0 * theta) * xi
+    num = f[lo:hi, None] - f[None, :]
+    den = xi[lo:hi, None] - xi[None, :]
+    diag = (np.arange(len(den)), lo + np.arange(len(den)))
+    den[diag] = 1.0
     rho = num / den
-    np.fill_diagonal(rho, 0.0)
+    rho[diag] = 0.0
     return rho
 
 
@@ -250,17 +251,8 @@ def j_riemann(grid_n: int) -> float:
     theta = 2.0 * math.pi * np.arange(grid_n) / grid_n
     total = 0.0
     chunk = max(1, 2 ** 22 // grid_n)
-    g = tri(3.0 * theta)
-    xi = np.exp(1j * theta)
-    f = g * xi
     for s in range(0, grid_n, chunk):
-        num = f[s:s + chunk, None] - f[None, :]
-        den = xi[s:s + chunk, None] - xi[None, :]
-        block = np.arange(s, min(s + chunk, grid_n))
-        den[block - s, block] = 1.0
-        rho = num / den
-        rho[block - s, block] = 0.0
-        total += float(np.sum(np.real(rho ** 2)))
+        total += float(np.sum(np.real(_rho_matrix(theta, s, s + chunk) ** 2)))
     return total / grid_n ** 2
 
 
@@ -286,14 +278,14 @@ def rk_values(k: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -out
 
 
-def rk_integral_check(k: int, l: int, quad_n: int = 64) -> float:
-    """Torus average of R_k R_l by tensor Gauss-Legendre.
+def rk_integral_check(k: int, l: int) -> float:
+    """Torus average of R_k R_l by 64-point tensor Gauss-Legendre.
 
     Equals 1 - |k - 1| when k + l = 2 and zero otherwise.
     """
     if abs(k) > 8 or abs(l) > 8:
         raise InvalidConfigError("|k|, |l| must be at most 8")
-    xg, wg = np.polynomial.legendre.leggauss(quad_n)
+    xg, wg = np.polynomial.legendre.leggauss(64)
     t = math.pi * (xg + 1.0)
     w = math.pi * wg
     x = t[:, None]

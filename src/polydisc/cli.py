@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import asymptotics, constructions, diamgraph, geometry, kkt, optimize
-from .errors import InfeasibleError, InvalidConfigError, PolydiscError, QuadratureError
+from .errors import InvalidConfigError, PolydiscError
 from .geometry import PointConfig
 
 EXIT_OK = 0
@@ -341,6 +341,8 @@ def cmd_asym(args) -> int:
         print(f"torus average of R_{k} R_{l}: {value:.12f} (expected {expected})")
         return EXIT_OK
     name = args.name
+    if name is None:
+        raise _UsageError("asym needs a constant name, --converge, or --rk")
     if name not in asymptotics.CONSTANT_NAMES:
         raise _UsageError(
             f"unknown constant {name!r}; choose from {', '.join(asymptotics.CONSTANT_NAMES)}")
@@ -430,22 +432,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "asym" and args.name is None \
-                and not args.converge and not args.rk:
-            raise _UsageError("asym needs a constant name, --converge, or --rk")
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, InvalidConfigError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InvalidConfigError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (InfeasibleError, QuadratureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -42,7 +42,6 @@ class DiameterGraph:
 
     n: int
     edges: frozenset = field(default_factory=frozenset)
-    tol: float = 0.0
 
     def __post_init__(self):
         norm = frozenset((min(a, b), max(a, b)) for a, b in self.edges)
@@ -96,7 +95,7 @@ def extract(config: PointConfig, rel_tol: float = 1e-9) -> DiameterGraph:
         raise InvalidConfigError("diameter graph requires n >= 2")
     d = pairwise_distances(config.as_complex)
     edges = frozenset(upper_pairs(d >= (1.0 - rel_tol) * d.max()))
-    return DiameterGraph(n=n, edges=edges, tol=rel_tol)
+    return DiameterGraph(n=n, edges=edges)
 
 
 def _components(graph: DiameterGraph) -> list[set[int]]:
@@ -407,7 +406,7 @@ def _necklace_canon(counts: tuple[int, ...]) -> tuple[int, ...]:
     return best
 
 
-def enumerate_unicyclic_candidates(n: int, max_cycle: Optional[int] = None) -> list[DiameterGraph]:
+def enumerate_unicyclic_candidates(n: int) -> list[DiameterGraph]:
     """Odd cycles with pendant vertices attached, n vertices and n edges.
 
     Canonical form: cycle length plus the sequence of per-vertex pendant
@@ -415,9 +414,8 @@ def enumerate_unicyclic_candidates(n: int, max_cycle: Optional[int] = None) -> l
     """
     if n < 3:
         raise InvalidConfigError("need n >= 3")
-    cap = min(n, max_cycle) if max_cycle else n
     out = []
-    for k in range(3, cap + 1, 2):
+    for k in range(3, n + 1, 2):
         pendants = n - k
         seen = set()
         for counts in itertools.product(range(pendants + 1), repeat=k):

@@ -62,8 +62,8 @@ class PointConfig:
         np.fill_diagonal(d, np.inf)
         return float(d.min())
 
-    def is_distinct(self, tol: float = 0.0) -> bool:
-        return self.min_pairwise_distance() > tol
+    def is_distinct(self) -> bool:
+        return self.min_pairwise_distance() > 0.0
 
 
 @dataclass(frozen=True)
@@ -173,18 +173,18 @@ def evaluate(config: PointConfig) -> EvalReport:
                       delta_bar=delta_bar, diameter=diam)
 
 
-def is_convex_position(config: PointConfig, tol: float = 1e-9) -> bool:
+def is_convex_position(config: PointConfig) -> bool:
     """True iff every point is a strict vertex of the convex hull.
 
     Points inside the hull or on the relative interior of a hull edge fail.
-    The turn test uses an absolute cross-product threshold tol * diameter^2.
+    The turn test uses an absolute cross-product threshold 1e-9 * diameter^2.
     """
     n = config.n
     if n < 3:
         raise InvalidConfigError("convex position requires n >= 3")
     if not config.is_distinct():
         raise SingularConfigError("coincident points")
-    return len(hull_indices(config.points, tol * diameter(config) ** 2)) == n
+    return len(hull_indices(config.points, 1e-9 * diameter(config) ** 2)) == n
 
 
 def hull_indices(points: np.ndarray, eps: float) -> list[int]:

@@ -148,12 +148,19 @@ def verify(config: PointConfig, rel_tol: float = 1e-9) -> KKTReport:
     comp = float(np.abs(lam * _constraint_gaps(z, a, b)).max(initial=0.0))
     degree = np.bincount(np.concatenate([a, b]), minlength=config.n)
     multipliers = dict(zip(act, lam.tolist()))
+    with np.errstate(over="ignore"):
+        norm2 = float(np.linalg.norm(resid))
+        if np.isinf(norm2) and np.isfinite(resid).all():
+            # the sum of squares overflowed; after rescaling only a norm
+            # past the float range stays inf
+            top = np.abs(resid).max()
+            norm2 = float(top * np.linalg.norm(resid / top))
     return KKTReport(
         n=config.n,
         active_set=tuple(sorted(act)),
         multipliers=multipliers,
         stationarity_residual=float(np.abs(resid).max()),
-        residual_norm2=float(np.linalg.norm(resid)),
+        residual_norm2=norm2,
         min_multiplier=min(multipliers.values(), default=0.0),
         complementarity_violation=comp,
         zero_degree_points=tuple(np.flatnonzero(degree == 0).tolist()),

@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from . import kkt
-from .diamgraph import DiameterGraph
+from .diamgraph import (DiameterGraph, enumerate_caterpillars,
+                        enumerate_unicyclic_candidates)
 from .errors import InvalidConfigError
 from .geometry import (PointConfig, complex_gradient, log_delta_bar, pairwise_distances,
                        upper_pairs)
@@ -33,6 +34,19 @@ TERM_STALLED = "stalled"
 # consecutive chunks, so peak memory does not grow with the start count.
 _STACK_ENTRIES = 1 << 14
 
+# Per start: the iteration budget, the ascent's initial step, penalty and
+# penalty growth factor, the KKT residual below which a polished start counts
+# as converged, and the constraint violation that ends the ascent.
+_MAX_ITERS = 2000
+_STEP_INIT = 1e-2
+_PENALTY_INIT = 10.0
+_PENALTY_GROWTH = 10.0
+_TOL_GRADIENT = 1e-8
+_TOL_CONSTRAINT = 1e-10
+
+# Largest sweep order; the number of admissible graphs grows exponentially.
+_SWEEP_MAX_N = 12
+
 # Line-search trials alpha * 2^-k, k < 50.  Scaling by a power of two is
 # exact, so scoring several trials per merit call accepts the same one as
 # trying them one at a time.
@@ -44,23 +58,11 @@ _TRIALS_PER_CALL = 3
 class OptimizeOptions:
     seed: int = 0
     starts: int = 32
-    max_iters: int = 2000
-    step_init: float = 1e-2
-    penalty_init: float = 10.0
-    penalty_growth: float = 10.0
-    tol_gradient: float = 1e-8
-    tol_constraint: float = 1e-10
-    graph: Optional[DiameterGraph] = None
     record_trace: bool = False
 
     def __post_init__(self):
         if self.starts < 1:
             raise InvalidConfigError("starts must be >= 1")
-        if min(self.tol_gradient, self.tol_constraint, self.step_init,
-               self.penalty_init) <= 0:
-            raise InvalidConfigError("tolerances, step and penalty must be positive")
-        if self.penalty_growth <= 1.0:
-            raise InvalidConfigError("penalty growth must exceed 1")
 
 
 @dataclass(frozen=True)
@@ -233,15 +235,14 @@ class _Ascent:
     _ROWS = ("ids", "z", "lam", "eq", "mu", "gtol", "viol_prev", "used", "rnd",
              "alpha", "phi", "begun", "stop_at")
 
-    def __init__(self, z, eq, opts: OptimizeOptions):
+    def __init__(self, z, eq):
         S, n = z.shape
-        self.opts = opts
         self.it = 0
         self.ids = np.arange(S)
         self.z = z
         self.lam = np.zeros((S, n, n))
         self.eq = eq
-        self.mu = np.full(S, opts.penalty_init)
+        self.mu = np.full(S, _PENALTY_INIT)
         self.viol_prev = np.full(S, math.inf)
         self.used = np.zeros(S, dtype=int)
         self.rnd = np.zeros(S, dtype=int)
@@ -257,9 +258,9 @@ class _Ascent:
 
     def _begin(self, rows):
         self.gtol[rows] = np.maximum(1e-9, 1e-3 / self.mu[rows])
-        self.alpha[rows] = self.opts.step_init
+        self.alpha[rows] = _STEP_INIT
         self.begun[rows] = self.it
-        cap = np.minimum(150, np.maximum(0, self.opts.max_iters - self.used[rows]))
+        cap = np.minimum(150, np.maximum(0, _MAX_ITERS - self.used[rows]))
         self.stop_at[rows] = self.it + cap
         self.phi[rows] = _merit_value(self.z[rows], self.lam[rows], self.mu[rows],
                                       self._eq(rows))
@@ -300,7 +301,6 @@ class _Ascent:
     def end_rounds(self, rows):
         """Multiplier and penalty update of rows whose round has ended; the
         rows that go on begin their next round.  Returns the finished rows."""
-        opts = self.opts
         self.used[rows] += self.it - self.begun[rows]
         g = _pair_sq(self.z[rows])[1] - 4.0
         mu = self.mu[rows]
@@ -314,12 +314,12 @@ class _Ascent:
             lam = np.where(eq, t, np.maximum(0.0, t))
         self.lam[rows] = lam
         v = viol.max(axis=(1, 2))
-        done = v < opts.tol_constraint
+        done = v < _TOL_CONSTRAINT
         self.mu[rows] = np.where(~done & (v > 0.25 * self.viol_prev[rows]),
-                                 mu * opts.penalty_growth, mu)
+                                 mu * _PENALTY_GROWTH, mu)
         self.viol_prev[rows] = v
         self.rnd[rows] += 1
-        done |= (self.used[rows] >= opts.max_iters) | (self.rnd[rows] >= 12)
+        done |= (self.used[rows] >= _MAX_ITERS) | (self.rnd[rows] >= 12)
         self._begin(rows[~done])
         return rows[done]
 
@@ -332,7 +332,7 @@ class _Ascent:
                 setattr(self, name, value[keep])
 
 
-def _al_phase(z, eq, opts: OptimizeOptions, traces=None):
+def _al_phase(z, eq, traces=None):
     """Augmented-Lagrangian ascent of the (S, n) stack of starts ``z``.
 
     ``eq`` is None or the (S, n, n) mask of equality pairs; ``traces``, when
@@ -344,7 +344,7 @@ def _al_phase(z, eq, opts: OptimizeOptions, traces=None):
     z_out = np.empty_like(z)
     lam_out = np.empty((S, n, n))
     used_out = np.empty(S, dtype=int)
-    stack = _Ascent(z.copy(), eq, opts)
+    stack = _Ascent(z.copy(), eq)
     while len(stack.ids):
         over = stack.stop_at <= stack.it
         if over.any():
@@ -396,8 +396,9 @@ def _hessian_f(z):
 _PAIR_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
 
-def _newton_kkt(z, act, lam_matrix=None, keep=frozenset(), max_rounds=20, tol=1e-11):
-    """Active-set Newton solve of the stationarity system.
+def _newton_kkt(z, act, lam_matrix, keep):
+    """Active-set Newton solve of the stationarity system: at most 20
+    working sets, each solved until max |F| < 1e-11.
 
     ``lam_matrix`` seeds the first working set's multipliers.  Pairs in
     ``keep`` stay in the working set even with negative multipliers
@@ -407,10 +408,10 @@ def _newton_kkt(z, act, lam_matrix=None, keep=frozenset(), max_rounds=20, tol=1e
     n = len(z)
     act = sorted(set(act))
     a, b = _pair_arrays(act)
-    lam = None if lam_matrix is None else lam_matrix[a, b]
+    lam = lam_matrix[a, b]
     iu = np.triu(np.ones((n, n), dtype=bool), 1)
     total_its = 0
-    for _ in range(max_rounds):
+    for _ in range(20):
         # pair c adds -2 lam_c [[1, -1], [-1, 1]] to the Hessian at rows and
         # columns (a_c, b_c) of both coordinate blocks, in pair order
         rows = np.stack([a, b, a, b], axis=1).ravel()
@@ -425,7 +426,7 @@ def _newton_kkt(z, act, lam_matrix=None, keep=frozenset(), max_rounds=20, tol=1e
             total_its += 1
             F, G = _kkt_F(zz, lm, a, b)
             nf = np.abs(F).max()
-            if nf < tol:
+            if nf < 1e-11:
                 converged = True
                 break
             H = _hessian_f(zz)
@@ -477,11 +478,11 @@ def _newton_kkt(z, act, lam_matrix=None, keep=frozenset(), max_rounds=20, tol=1e
     return z, act, None, False, total_its
 
 
-def _polish(n, index, z, lam_matrix, used, keep, trace, opts: OptimizeOptions):
+def _polish(n, index, z, lam_matrix, used, keep, trace):
     """Newton polish, certification and summary of one start after its ascent."""
     d = pairwise_distances(z)
     act = set(keep) | set(upper_pairs((lam_matrix > 1e-7) | (d >= 2.0 - 1e-5)))
-    z2, act2, lm, ok, newton_its = _newton_kkt(z, act, lam_matrix, keep=keep)
+    z2, act2, lm, ok, newton_its = _newton_kkt(z, act, lam_matrix, keep)
     iterations = int(used) + newton_its
 
     z_final = _rescale(z2 if ok else z)
@@ -490,9 +491,9 @@ def _polish(n, index, z, lam_matrix, used, keep, trace, opts: OptimizeOptions):
     final_active = kkt.active_set(config, 1e-9)
     multipliers, residual = kkt.recover_multipliers(config, final_active)
     if not ok:
-        term = TERM_ITERATION_CAP if iterations >= opts.max_iters else TERM_STALLED
+        term = TERM_ITERATION_CAP if iterations >= _MAX_ITERS else TERM_STALLED
     else:
-        term = TERM_CONVERGED if residual < opts.tol_gradient else TERM_STALLED
+        term = TERM_CONVERGED if residual < _TOL_GRADIENT else TERM_STALLED
     summary = StartSummary(
         index=index, log_delta_bar=ldb, kkt_residual=residual,
         iterations=iterations, termination=term,
@@ -523,9 +524,9 @@ def _solve(n: int, opts: OptimizeOptions, edge_sets):
             for a, b in keep:
                 eq[r, a, b] = eq[r, b, a] = True
         traces = [[] for _ in part] if opts.record_trace else None
-        z, lam, used = _al_phase(z, eq if eq.any() else None, opts, traces)
+        z, lam, used = _al_phase(z, eq if eq.any() else None, traces)
         results += [_polish(n, s, z[r], lam[r], used[r], keeps[r],
-                            traces[r] if traces else None, opts)
+                            traces[r] if traces else None)
                     for r, (_, s) in enumerate(part)]
     return [results[i:i + opts.starts] for i in range(0, len(results), opts.starts)]
 
@@ -560,12 +561,7 @@ def _result(results, graph: Optional[DiameterGraph] = None) -> OptimizeResult:
 
 
 def maximize_free(n: int, opts: OptimizeOptions = OptimizeOptions()) -> OptimizeResult:
-    """Best local maximizer over seeded multi-starts, all pairs constrained to <= 2.
-
-    A target graph set in the options delegates to maximize_with_graph.
-    """
-    if opts.graph is not None:
-        return maximize_with_graph(n, opts.graph, opts)
+    """Best local maximizer over seeded multi-starts, all pairs constrained to <= 2."""
     return _result(_solve(n, opts, [None])[0])
 
 
@@ -587,21 +583,16 @@ def maximize_with_graph(n: int, graph: DiameterGraph,
     return _result(_solve(n, opts, [graph.edges])[0], graph)
 
 
-def sweep_graphs(n: int, opts: OptimizeOptions = OptimizeOptions(),
-                 graphs=None, max_n: int = 12):
+def sweep_graphs(n: int, opts: OptimizeOptions = OptimizeOptions()):
     """Run the graph-targeted optimizer over all admissible diameter graphs.
 
     All starts of all graphs ascend as one stack; each graph's result equals
     that of maximize_with_graph.  Returns (graph, result) pairs sorted by
     decreasing log Delta-bar.
     """
-    from .diamgraph import enumerate_caterpillars, enumerate_unicyclic_candidates
-    if n > max_n:
-        raise InvalidConfigError(f"sweep capped at n = {max_n}")
-    if graphs is None:
-        graphs = enumerate_caterpillars(n) + enumerate_unicyclic_candidates(n)
-    for g in graphs:
-        _check_graph(n, g)
+    if n > _SWEEP_MAX_N:
+        raise InvalidConfigError(f"sweep capped at n = {_SWEEP_MAX_N}")
+    graphs = enumerate_caterpillars(n) + enumerate_unicyclic_candidates(n)
     solved = _solve(n, opts, [g.edges for g in graphs])
     ranked = [(g, _result(results, g)) for g, results in zip(graphs, solved)]
     # near-ties in value go to the graph that was achieved exactly, then to

@@ -43,6 +43,14 @@ class TestConstruct:
                    str(tmp_path / "x.json"))
         assert code == 2
 
+    def test_infeasible_amplitude_numeric_error(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        code = run("construct", "--family", "triwave", "--n", "8",
+                   "--amplitude", "0.5", "--out", str(out))
+        assert code == 4
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_unwritable_path_io_error(self):
         code = run("construct", "--family", "kite4", "--out",
                    "/nonexistent-dir/kite.json")

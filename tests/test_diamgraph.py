@@ -61,6 +61,12 @@ class TestExtract:
         with pytest.raises(InvalidConfigError):
             extract(PointConfig([[0, 0]]))
 
+    def test_equals_graph_with_same_edges(self):
+        g = extract(kite4(), 1e-3)
+        same = DiameterGraph(4, g.edges)
+        assert g == same
+        assert hash(g) == hash(same)
+
 
 class TestClassify:
     def test_path_is_caterpillar(self):

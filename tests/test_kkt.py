@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,14 @@ class TestVerify:
     def test_coincident_invalid(self):
         with pytest.raises(SingularConfigError):
             verify(PointConfig([[0, 0], [0, 0], [1, 0]]))
+
+    def test_large_residual_has_finite_norm(self):
+        # the residual's squares overflow a float, its 2-norm does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify(PointConfig([[0, 0], [1e-200, 0], [2, 0]]))
+        assert math.isfinite(report.residual_norm2)
+        assert report.residual_norm2 >= report.stationarity_residual
 
 
 class TestInvariants:

@@ -97,11 +97,6 @@ class TestMaximizeFree:
         assert chunked.starts == whole.starts
         assert np.array_equal(chunked.config.points, whole.config.points)
 
-    def test_nonpositive_penalty_rejected(self):
-        from polydisc import InvalidConfigError
-        with pytest.raises(InvalidConfigError):
-            OptimizeOptions(penalty_init=0.0)
-
     def test_merit_monotone_within_rounds(self):
         opts = OptimizeOptions(seed=3, starts=2, record_trace=True)
         result = maximize_free(4, opts)
@@ -160,10 +155,10 @@ class TestMaximizeWithGraph:
         with pytest.raises(InvalidConfigError):
             maximize_with_graph(4, full)
 
-    def test_options_graph_field_delegates(self):
+    def test_request_recorded_and_kite_reached(self):
         graph = parse_graph_text("4;1-2,1-3,2-3,2-4")
-        result = maximize_free(4, OptimizeOptions(seed=3, starts=4, graph=graph))
-        assert result.requested_graph is not None
+        result = maximize_with_graph(4, graph, OptimizeOptions(seed=3, starts=4))
+        assert result.requested_graph == graph
         assert result.delta_bar == pytest.approx(KITE_VALUE, abs=1e-9)
 
 

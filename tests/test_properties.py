@@ -1,4 +1,5 @@
-"""Property tests: relabeling, rigid motion and scaling, persistence, CLI exits.
+"""Property tests: relabeling, rigid motion and scaling, canonical pose,
+congruence, persistence, CLI exits.
 
 Point sets are drawn on a grid of step 1/16 so that ties in distance and
 collinear triples are exact and frequent; the runs are derandomized and
@@ -11,17 +12,20 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polydisc import (
     PointConfig,
     active_set,
+    congruent,
     dodecagon12,
     extract,
+    gauge_fix,
     hexagon6,
     is_convex_position,
     kite4,
+    log_delta_bar,
     regular_ngon,
     triwave,
     verify,
@@ -98,6 +102,35 @@ def test_verify_verdict_survives_rigid_motion_and_scaling(config, motion, scale)
 @given(grid_configs(), rigid_motions())
 def test_convex_position_survives_rigid_motion(config, motion):
     assert is_convex_position(moved(config, motion)) == is_convex_position(config)
+
+
+@bounded
+@given(grid_configs(), rigid_motions(), st.floats(0.25, 4.0), st.data())
+def test_log_delta_bar_survives_motion_scaling_and_relabeling(config, motion, scale, data):
+    perm = data.draw(st.permutations(range(config.n)))
+    copy = moved(PointConfig(config.points[perm]), motion, scale)
+    assert math.isclose(log_delta_bar(copy), log_delta_bar(config), rel_tol=1e-9)
+
+
+@bounded
+@given(grid_configs(), rigid_motions())
+def test_gauge_fix_is_idempotent(config, motion):
+    config = moved(config, motion)
+    z = config.as_complex
+    r = np.sort(np.abs(z - z.mean()))[::-1]
+    assume(r[0] - r[1] > 1e-3)  # a tie for the farthest point leaves the pose open
+    once = gauge_fix(config)
+    assert np.abs(gauge_fix(once).points - once.points).max() <= 1e-12
+
+
+@bounded
+@given(grid_configs(), rigid_motions(), st.data())
+def test_congruent_is_reflexive_and_symmetric(config, motion, data):
+    perm = data.draw(st.permutations(range(config.n)))
+    copy = moved(PointConfig(config.points[perm]), motion)
+    assert congruent(config, config)
+    assert congruent(config, copy)
+    assert congruent(copy, config)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
