@@ -15,6 +15,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .errors import InvalidConfigError, SingularConfigError
 from .geometry import (PointConfig, diameter, is_convex_position, pairwise_distances,
                        upper_pairs)
@@ -273,29 +275,19 @@ def has_even_cycle(graph: DiameterGraph) -> bool:
     return False
 
 
-def _orient(p, q, r, eps):
-    v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-    if v > eps:
-        return 1
-    if v < -eps:
-        return -1
-    return 0
-
-
 def _on_segment(p, q, r, eps):
     # r collinear with pq assumed; check r within the bounding box of pq
     return (min(p[0], q[0]) - eps <= r[0] <= max(p[0], q[0]) + eps
             and min(p[1], q[1]) - eps <= r[1] <= max(p[1], q[1]) + eps)
 
 
-def _segments_meet_once(p1, p2, p3, p4, eps, eps_len):
-    """True iff segments p1p2 and p3p4 intersect in exactly one point."""
-    d1 = _orient(p3, p4, p1, eps)
-    d2 = _orient(p3, p4, p2, eps)
-    d3 = _orient(p1, p2, p3, eps)
-    d4 = _orient(p1, p2, p4, eps)
-    if d1 != d2 and d3 != d4 and 0 not in (d1, d2, d3, d4):
-        return True  # proper crossing
+def _segments_meet_once(p1, p2, p3, p4, d1, d2, d3, d4, eps_len):
+    """True iff segments p1p2 and p3p4 intersect in exactly one point.
+
+    d1, d2 are the orientation signs of p1, p2 against the line p3p4, and d3,
+    d4 those of p3, p4 against p1p2; at least one of them is zero (a proper
+    crossing, with four nonzero signs, is decided by the caller).
+    """
     if d1 == d2 == d3 == d4 == 0:
         # collinear: meeting at a single point (shared endpoint) is fine,
         # positive-length overlap and disjointness are not
@@ -316,6 +308,26 @@ def _segments_meet_once(p1, p2, p3, p4, eps, eps_len):
     return False
 
 
+# entries of one temporary array in the intersection screen (2 MB of float64)
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _orientation_signs(pts: np.ndarray, a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
+    """(m, n) int8 side of point j against edge a[k] -> b[k]: +1 where the
+    cross product (b - a) x (p_j - a) exceeds eps, -1 where it is below -eps,
+    else 0."""
+    x, y = pts[:, 0], pts[:, 1]
+    signs = np.empty((len(a), len(pts)), dtype=np.int8)
+    rows = max(1, _BLOCK_ENTRIES // len(pts))
+    for lo in range(0, len(a), rows):
+        p, q = a[lo:lo + rows, None], b[lo:lo + rows, None]
+        v = (x[q] - x[p]) * (y - y[p]) - (y[q] - y[p]) * (x - x[p])
+        block = signs[lo:lo + rows]
+        block[...] = v > eps
+        block -= v < -eps
+    return signs
+
+
 def check_pairwise_intersection(config: PointConfig, graph: DiameterGraph) -> bool:
     """True iff every two edge segments meet in exactly one point.
 
@@ -326,14 +338,31 @@ def check_pairwise_intersection(config: PointConfig, graph: DiameterGraph) -> bo
         raise SingularConfigError("coincident points")
     pts = config.points
     edges = sorted(graph.edges)
-    if len(edges) < 2:
+    m = len(edges)
+    if m < 2:
         return True
-    scale = diameter(config) if config.n >= 2 else 1.0
-    eps = 1e-9 * scale ** 2
+    scale = diameter(config)
     eps_len = 1e-9 * scale
-    for (a, b), (c, d) in itertools.combinations(edges, 2):
-        if not _segments_meet_once(pts[a], pts[b], pts[c], pts[d], eps, eps_len):
+    a, b = np.array(edges).T
+    signs = _orientation_signs(pts, a, b, 1e-9 * scale ** 2)
+    # edge e = (a[e], b[e]) against every later edge f, a block of e at a time:
+    # d1, d2 are the signs of e's ends against f, d3, d4 of f's ends against e
+    rows = max(1, _BLOCK_ENTRIES // m)
+    for lo in range(0, m - 1, rows):
+        hi = min(lo + rows, m)
+        d1 = signs[lo:, a[lo:hi]].T
+        d2 = signs[lo:, b[lo:hi]].T
+        d3 = signs[lo:hi, a[lo:]]
+        d4 = signs[lo:hi, b[lo:]]
+        later = np.arange(lo, m) > np.arange(lo, hi)[:, None]
+        zero_sign = later & ((d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0))
+        if (later & ~zero_sign & ((d1 == d2) | (d3 == d4))).any():
             return False
+        for i, j in zip(*np.nonzero(zero_sign)):
+            e, f = lo + i, lo + j
+            if not _segments_meet_once(pts[a[e]], pts[b[e]], pts[a[f]], pts[b[f]],
+                                       d1[i, j], d2[i, j], d3[i, j], d4[i, j], eps_len):
+                return False
     return True
 
 
@@ -485,8 +514,6 @@ class StructureReport:
 
 def maximizer_structure_report(config: PointConfig, rel_tol: float = 1e-9) -> StructureReport:
     """Evaluate every structural predicate a maximizer must satisfy."""
-    if not config.is_distinct():
-        raise SingularConfigError("coincident points")
     graph = extract(config, rel_tol)
     gclass = classify(graph)
     return StructureReport(

@@ -8,6 +8,7 @@ from polydisc import (
     GraphKind,
     InvalidConfigError,
     PointConfig,
+    SingularConfigError,
     caterpillar_count,
     check_pairwise_intersection,
     classify,
@@ -18,7 +19,7 @@ from polydisc import (
     maximizer_structure_report,
     parse_graph_text,
 )
-from polydisc.constructions import hexagon6, kite4, regular_ngon, triwave
+from polydisc.constructions import arc_polygon, hexagon6, kite4, regular_ngon, triwave
 
 SQUARE = PointConfig([[1, 0], [0, 1], [-1, 0], [0, -1]])
 
@@ -130,6 +131,29 @@ class TestPairwiseIntersection:
         cfg = PointConfig([[0, 0], [1, 0], [0, 1]])
         g = DiameterGraph(n=3, edges=frozenset({(0, 1), (0, 2)}))
         assert check_pairwise_intersection(cfg, g)
+
+    @pytest.mark.parametrize("build", [lambda: regular_ngon(1001), lambda: triwave(256).config,
+                                       lambda: arc_polygon(50).P],
+                             ids=["regular1001", "triwave256", "arc50"])
+    def test_certify_sizes(self, build):
+        config = build()
+        assert check_pairwise_intersection(config, extract(config))
+
+    def test_late_side_edge_fails(self):
+        # the side (999, 1000) sorts after every diameter edge and misses most
+        # of them, so every failing pair involves the last edge
+        cfg = regular_ngon(1001)
+        g = extract(cfg)
+        late = DiameterGraph(n=1001, edges=g.edges | {(999, 1000)})
+        assert max(late.edges) == (999, 1000)
+        assert not check_pairwise_intersection(cfg, late)
+
+    def test_coincident_points_raise(self):
+        cfg = PointConfig([[0, 0], [1, 0], [0, 1], [1, 0]])
+        with pytest.raises(SingularConfigError):
+            check_pairwise_intersection(cfg, extract(cfg))
+        with pytest.raises(SingularConfigError):
+            maximizer_structure_report(cfg)
 
 
 def brute_force_caterpillar_classes(n):

@@ -1,23 +1,28 @@
 """Property tests: relabeling, rigid motion and scaling, canonical pose,
-congruence, persistence, CLI exits.
+congruence, persistence, CLI exits, and the edge intersection screen against
+a per-pair reference.
 
 Point sets are drawn on a grid of step 1/16 so that ties in distance and
 collinear triples are exact and frequent; the runs are derandomized and
 bounded, so the suite stays fast and repeatable.
 """
 
+import itertools
 import json
 import math
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polydisc import (
+    DiameterGraph,
     PointConfig,
     active_set,
+    check_pairwise_intersection,
     congruent,
     dodecagon12,
     extract,
@@ -30,8 +35,9 @@ from polydisc import (
     triwave,
     verify,
 )
+from polydisc import diamgraph
 from polydisc.cli import main, read_config, write_config
-from polydisc.geometry import normalize_to_diameter
+from polydisc.geometry import diameter, normalize_to_diameter
 
 bounded = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -131,6 +137,73 @@ def test_congruent_is_reflexive_and_symmetric(config, motion, data):
     assert congruent(config, config)
     assert congruent(config, copy)
     assert congruent(copy, config)
+
+
+def _orient(p, q, r, eps):
+    v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+    return 1 if v > eps else -1 if v < -eps else 0
+
+
+def _in_box(p, q, r, eps):
+    return (min(p[0], q[0]) - eps <= r[0] <= max(p[0], q[0]) + eps
+            and min(p[1], q[1]) - eps <= r[1] <= max(p[1], q[1]) + eps)
+
+
+def _meet_once(p1, p2, p3, p4, eps, eps_len):
+    d1, d2 = _orient(p3, p4, p1, eps), _orient(p3, p4, p2, eps)
+    d3, d4 = _orient(p1, p2, p3, eps), _orient(p1, p2, p4, eps)
+    if 0 not in (d1, d2, d3, d4):
+        return d1 != d2 and d3 != d4
+    if d1 == d2 == d3 == d4 == 0:
+        axis = 0 if abs(p2[0] - p1[0]) >= abs(p2[1] - p1[1]) else 1
+        lo = max(min(p1[axis], p2[axis]), min(p3[axis], p4[axis]))
+        hi = min(max(p1[axis], p2[axis]), max(p3[axis], p4[axis]))
+        return abs(hi - lo) <= eps_len
+    return ((d1 == 0 and _in_box(p3, p4, p1, eps_len))
+            or (d2 == 0 and _in_box(p3, p4, p2, eps_len))
+            or (d3 == 0 and _in_box(p1, p2, p3, eps_len))
+            or (d4 == 0 and _in_box(p1, p2, p4, eps_len)))
+
+
+def reference_pairwise_intersection(config, graph):
+    """One scalar segment test per pair of edges, in sorted edge order."""
+    pts, scale = config.points, diameter(config)
+    return all(_meet_once(pts[a], pts[b], pts[c], pts[d], 1e-9 * scale ** 2, 1e-9 * scale)
+               for (a, b), (c, d) in itertools.combinations(sorted(graph.edges), 2))
+
+
+half_grid = st.integers(-4, 4).map(lambda k: k / 2)
+
+
+@st.composite
+def segment_graphs(draw):
+    """Points on a half-integer grid, where shared endpoints, crossings,
+    contacts at an interior point, collinear overlaps and disjoint pairs all
+    occur, and 2-10 edges between them."""
+    pts = draw(st.lists(st.tuples(half_grid, half_grid), min_size=3, max_size=9, unique=True))
+    n = len(pts)
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1]).map(lambda e: (min(e), max(e)))
+    edges = draw(st.lists(edge, min_size=2, max_size=10, unique=True))
+    return PointConfig(np.array(pts)), DiameterGraph(n=n, edges=frozenset(edges))
+
+
+# an end of one edge exactly at the orientation tolerance of the other's line
+# (v = +eps, then -eps): a contact, which a sign that counted v = eps as a
+# turn would call a miss
+AT_TOLERANCE = [PointConfig([[0, 0], [2, 0], [1, 2e-9], [1, 1]]),
+                PointConfig([[2, 0], [0, 0], [1, 2e-9], [1, 1]])]
+
+
+@settings(bounded, max_examples=300)
+@given(segment_graphs(), st.sampled_from([1, 16, diamgraph._BLOCK_ENTRIES]))
+@example((AT_TOLERANCE[0], DiameterGraph(n=4, edges=frozenset({(0, 1), (2, 3)}))), 16)
+@example((AT_TOLERANCE[1], DiameterGraph(n=4, edges=frozenset({(0, 1), (2, 3)}))), 16)
+def test_pairwise_intersection_matches_per_pair_reference(case, block):
+    config, graph = case
+    with mock.patch.object(diamgraph, "_BLOCK_ENTRIES", block):
+        assert check_pairwise_intersection(config, graph) \
+            == reference_pairwise_intersection(config, graph)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
