@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidConfigError, SingularConfigError
-from .geometry import (PointConfig, diameter, is_convex_position, pairwise_distances,
+from .geometry import (PointConfig, _convex_position, _distinct, pairwise_distances,
                        upper_pairs)
 
 Edge = tuple[int, int]
@@ -92,12 +92,15 @@ def parse_graph_text(text: str) -> DiameterGraph:
 
 def extract(config: PointConfig, rel_tol: float = 1e-9) -> DiameterGraph:
     """Edges = pairs within relative rel_tol of the largest pairwise distance."""
-    n = config.n
-    if n < 2:
+    return _diameter_graph(pairwise_distances(config.as_complex), rel_tol)
+
+
+def _diameter_graph(d: np.ndarray, rel_tol: float) -> DiameterGraph:
+    """extract from the configuration's distance matrix d."""
+    if len(d) < 2:
         raise InvalidConfigError("diameter graph requires n >= 2")
-    d = pairwise_distances(config.as_complex)
     edges = frozenset(upper_pairs(d >= (1.0 - rel_tol) * d.max()))
-    return DiameterGraph(n=n, edges=edges)
+    return DiameterGraph(n=len(d), edges=edges)
 
 
 def _components(graph: DiameterGraph) -> list[set[int]]:
@@ -334,14 +337,18 @@ def check_pairwise_intersection(config: PointConfig, graph: DiameterGraph) -> bo
     Shared endpoints count as one intersection; collinear positive-length
     overlap and disjointness both fail.
     """
-    if not config.is_distinct():
+    return _pairwise_intersecting(config.points, pairwise_distances(config.as_complex), graph)
+
+
+def _pairwise_intersecting(pts: np.ndarray, d: np.ndarray, graph: DiameterGraph) -> bool:
+    """check_pairwise_intersection from the points and their distance matrix d."""
+    if not _distinct(d):
         raise SingularConfigError("coincident points")
-    pts = config.points
     edges = sorted(graph.edges)
     m = len(edges)
     if m < 2:
         return True
-    scale = diameter(config)
+    scale = float(d.max())
     eps_len = 1e-9 * scale
     a, b = np.array(edges).T
     signs = _orientation_signs(pts, a, b, 1e-9 * scale ** 2)
@@ -358,7 +365,13 @@ def check_pairwise_intersection(config: PointConfig, graph: DiameterGraph) -> bo
         zero_sign = later & ((d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0))
         if (later & ~zero_sign & ((d1 == d2) | (d3 == d4))).any():
             return False
-        for i, j in zip(*np.nonzero(zero_sign)):
+        # edges with a common endpoint meet there only, unless they are
+        # collinear: that point's sign against the other edge is exactly 0,
+        # and it lies on the other edge
+        ea, eb, fa, fb = a[lo:hi, None], b[lo:hi, None], a[lo:], b[lo:]
+        shared = (ea == fa) | (ea == fb) | (eb == fa) | (eb == fb)
+        collinear = (d1 == 0) & (d2 == 0) & (d3 == 0) & (d4 == 0)
+        for i, j in zip(*np.nonzero(zero_sign & (collinear | ~shared))):
             e, f = lo + i, lo + j
             if not _segments_meet_once(pts[a[e]], pts[b[e]], pts[a[f]], pts[b[f]],
                                        d1[i, j], d2[i, j], d3[i, j], d4[i, j], eps_len):
@@ -514,15 +527,16 @@ class StructureReport:
 
 def maximizer_structure_report(config: PointConfig, rel_tol: float = 1e-9) -> StructureReport:
     """Evaluate every structural predicate a maximizer must satisfy."""
-    graph = extract(config, rel_tol)
+    d = pairwise_distances(config.as_complex)
+    graph = _diameter_graph(d, rel_tol)
     gclass = classify(graph)
     return StructureReport(
         edge_count_ok=len(graph.edges) <= graph.n,
         min_degree_ok=min(graph.degrees()) >= 1 if graph.n else True,
         connected=is_connected(graph),
         no_even_cycle=not has_even_cycle(graph),
-        pairwise_intersecting=check_pairwise_intersection(config, graph),
-        convex_position=is_convex_position(config) if config.n >= 3 else True,
+        pairwise_intersecting=_pairwise_intersecting(config.points, d, graph),
+        convex_position=_convex_position(config.points, d) if config.n >= 3 else True,
         class_ok=gclass.kind in (GraphKind.CATERPILLAR, GraphKind.ODD_CYCLE_WITH_PENDANTS),
         graph=graph,
         graph_class=gclass,

@@ -63,7 +63,7 @@ class PointConfig:
         return float(d.min())
 
     def is_distinct(self) -> bool:
-        return self.min_pairwise_distance() > 0.0
+        return _distinct(pairwise_distances(self.as_complex))
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,20 @@ def pairwise_distances(z: np.ndarray) -> np.ndarray:
     return np.abs(z[:, None] - z[None, :])
 
 
+def _distinct(d: np.ndarray) -> bool:
+    """True iff the distance matrix d has no zero off its diagonal."""
+    return np.count_nonzero(d == 0.0) == len(d)
+
+
+def _log_discriminant(d: np.ndarray) -> float:
+    """Sum of the logs of the off-diagonal entries of the distance matrix d,
+    -inf when one of them is zero."""
+    off = ~np.eye(len(d), dtype=bool)
+    if (d[off] == 0.0).any():
+        return -math.inf
+    return float(np.sum(np.log(d[off])))
+
+
 def discriminant(config: PointConfig) -> tuple[float, float]:
     """Product of squared pairwise distances, with its natural logarithm.
 
@@ -98,14 +112,11 @@ def discriminant(config: PointConfig) -> tuple[float, float]:
         range; see EvalReport.log_only), 1.0 for n <= 1 by the empty-product
         convention, and 0.0 with log_delta = -inf when two points coincide.
     """
-    n = config.n
-    if n <= 1:
+    if config.n <= 1:
         return 1.0, 0.0
-    d = pairwise_distances(config.as_complex)
-    off = ~np.eye(n, dtype=bool)
-    if (d[off] == 0.0).any():
+    log_delta = _log_discriminant(pairwise_distances(config.as_complex))
+    if log_delta == -math.inf:
         return 0.0, -math.inf
-    log_delta = float(np.sum(np.log(d[off])))
     return _exp(log_delta), log_delta
 
 
@@ -151,8 +162,9 @@ def log_delta_bar(config: PointConfig) -> float:
     n = config.n
     if n < 2:
         raise InvalidConfigError("log_delta_bar requires n >= 2")
-    _, log_delta = discriminant(config)
-    diam = diameter(config)
+    d = pairwise_distances(config.as_complex)
+    log_delta = _log_discriminant(d)
+    diam = float(d.max())
     if diam == 0.0 or log_delta == -math.inf:
         return -math.inf
     return log_delta + n * (n - 1) * math.log(2.0 / diam) - n * math.log(n)
@@ -179,12 +191,16 @@ def is_convex_position(config: PointConfig) -> bool:
     Points inside the hull or on the relative interior of a hull edge fail.
     The turn test uses an absolute cross-product threshold 1e-9 * diameter^2.
     """
-    n = config.n
-    if n < 3:
+    if config.n < 3:
         raise InvalidConfigError("convex position requires n >= 3")
-    if not config.is_distinct():
+    return _convex_position(config.points, pairwise_distances(config.as_complex))
+
+
+def _convex_position(points: np.ndarray, d: np.ndarray) -> bool:
+    """is_convex_position from the points and their distance matrix d."""
+    if not _distinct(d):
         raise SingularConfigError("coincident points")
-    return len(hull_indices(config.points, 1e-9 * diameter(config) ** 2)) == n
+    return len(hull_indices(points, 1e-9 * float(d.max()) ** 2)) == len(points)
 
 
 def hull_indices(points: np.ndarray, eps: float) -> list[int]:

@@ -418,13 +418,15 @@ def _newton_kkt(z, act, lam_matrix, keep):
         cols = np.stack([a, b, b, a], axis=1).ravel()
         at = (np.concatenate([rows, n + rows]), np.concatenate([cols, n + cols]))
         if lam is None:
-            lam = kkt._nnls_project_resolve(_constraint_matrix(z, a, b), _grad_real(z),
-                                            len(act) + 2)
+            lam = kkt._nnls_project_resolve(kkt._gap_gradients(z, a, b), a, b,
+                                            complex_gradient(z), len(act) + 2)
         zz, lm = z.copy(), lam.copy()
+        # the residual and Jacobian at (zz, lm): computed here, then taken
+        # over from the line search's accepted trial
+        F, G = _kkt_F(zz, lm, a, b)
         converged = False
         for _ in range(100):
             total_its += 1
-            F, G = _kkt_F(zz, lm, a, b)
             nf = np.abs(F).max()
             if nf < 1e-11:
                 converged = True
@@ -448,9 +450,9 @@ def _newton_kkt(z, act, lam_matrix, keep):
                 if dm.min() < 1e-7:
                     t *= 0.5
                     continue
-                F2, _ = _kkt_F(zt, lt, a, b)
+                F2, G2 = _kkt_F(zt, lt, a, b)
                 if np.abs(F2).max() < nf * (1 - 1e-4 * t) + 1e-15:
-                    zz, lm = zt, lt
+                    zz, lm, F, G = zt, lt, F2, G2
                     accepted = True
                     break
                 t *= 0.5

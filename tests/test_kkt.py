@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,13 +9,16 @@ from polydisc import (
     PointConfig,
     SingularConfigError,
     active_set,
+    log_delta_bar,
+    maximizer_structure_report,
     recover_multipliers,
     regular_ngon,
     verify,
 )
+from polydisc import diamgraph, geometry, kkt
 from polydisc.constructions import dodecagon12, hexagon6, kite4, triwave
 from polydisc.geometry import normalize_to_diameter
-from polydisc.kkt import _nnls_project_resolve, stationarity_lhs
+from polydisc.kkt import stationarity_lhs
 
 SQRT7 = math.sqrt(7.0)
 
@@ -137,27 +141,28 @@ class TestInvariants:
         assert normalized_discriminant(P4_CONFIG) == pytest.approx(1.0, abs=1e-12)
 
 
-# verify() outputs recorded with numpy 2.4.6 on x86-64, as float.hex strings;
-# a change to the KKT algebra that moves any bit of them fails here
+# verify() outputs recorded with numpy 2.4.6 on x86-64, as float.hex strings,
+# from the normal-equations fit; a change to the KKT algebra that moves any
+# bit of them fails here
 PINNED_VERIFY = {
     "dodecagon12": dict(
         active=[(0, 1), (1, 2), (1, 3), (2, 11), (3, 6), (4, 5), (5, 6), (5, 7),
                 (7, 10), (8, 9), (9, 10), (9, 11)],
-        multipliers=["0x1.37d876fffda72p+1", "0x1.3bb30d9ad5d3ep-2", "0x1.3bb30d9ad5d8dp-2",
-                     "0x1.393ac5994ce3ep+1", "0x1.393ac5994ce3dp+1", "0x1.37d876fffda71p+1",
-                     "0x1.3bb30d9ad5d53p-2", "0x1.3bb30d9ad5d7ap-2", "0x1.393ac5994ce3dp+1",
-                     "0x1.37d876fffda7ap+1", "0x1.3bb30d9ad5d68p-2", "0x1.3bb30d9ad5d40p-2"],
-        residual="0x1.68f9f8dbb6fe6p-47",
-        residual_norm2="0x1.55ba73b04de61p-46",
-        complementarity="0x1.393ac5994ce3ep-49",
+        multipliers=["0x1.37d876fffda75p+1", "0x1.3bb30d9ad5d38p-2", "0x1.3bb30d9ad5d5bp-2",
+                     "0x1.393ac5994ce3cp+1", "0x1.393ac5994ce39p+1", "0x1.37d876fffda74p+1",
+                     "0x1.3bb30d9ad5d50p-2", "0x1.3bb30d9ad5d4fp-2", "0x1.393ac5994ce39p+1",
+                     "0x1.37d876fffda75p+1", "0x1.3bb30d9ad5d5ap-2", "0x1.3bb30d9ad5d35p-2"],
+        residual="0x1.94c583ada5b53p-49",
+        residual_norm2="0x1.985b9155218f4p-48",
+        complementarity="0x1.393ac5994ce3cp-49",
     ),
     "regular7": dict(
         active=[(0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 6), (3, 6)],
-        multipliers=["0x1.8000000000001p-1", "0x1.7fffffffffffcp-1", "0x1.8000000000002p-1",
-                     "0x1.7fffffffffff9p-1", "0x1.8000000000003p-1", "0x1.7fffffffffffap-1",
-                     "0x1.7fffffffffffbp-1"],
-        residual="0x1.ad5336963eefcp-50",
-        residual_norm2="0x1.548a6e5c2c110p-49",
+        multipliers=["0x1.7fffffffffffep-1", "0x1.7fffffffffffep-1", "0x1.7ffffffffffffp-1",
+                     "0x1.7fffffffffffep-1", "0x1.8000000000000p-1", "0x1.7fffffffffffdp-1",
+                     "0x1.7ffffffffffffp-1"],
+        residual="0x1.2000000000000p-51",
+        residual_norm2="0x1.c12432fec0329p-51",
         complementarity="0x0.0p+0",
     ),
 }
@@ -177,29 +182,101 @@ def test_verify_is_pinned(name):
 
 
 def _loop_fit(config, active):
-    """Reference: the complex constraint columns built pair by pair."""
+    """Reference: the complex constraint columns built pair by pair, and the
+    clamp-and-resolve iteration by dense least squares on them."""
     z = config.as_complex
     M = np.zeros((config.n, len(active)), dtype=complex)
     for c, (a, b) in enumerate(active):
         M[a, c] = np.conj(z[b]) - np.conj(z[a])
         M[b, c] = np.conj(z[a]) - np.conj(z[b])
     L = stationarity_lhs(z)
-    lam = _nnls_project_resolve(np.vstack([M.real, M.imag]),
-                                np.concatenate([L.real, L.imag]), len(active) + 2)
+    A, y = np.vstack([M.real, M.imag]), np.concatenate([L.real, L.imag])
+    lam, *_ = np.linalg.lstsq(A, y, rcond=None)
+    for _ in range(len(active) + 2):
+        if (lam >= -1e-12).all():
+            break
+        support = lam > 1e-12
+        refit = np.zeros_like(lam)
+        if support.any():
+            refit[support], *_ = np.linalg.lstsq(A[:, support], y, rcond=None)
+        lam = refit
+    lam = np.maximum(lam, 0.0)
     return lam.tolist(), float(np.abs(L - M @ lam).max())
 
 
-# grid points make exactly horizontal and vertical pairs, whose zero
-# coordinate differences carry a sign the least-squares solver reads
-@pytest.mark.parametrize("points", [
+GRIDS = [
     [[0, 0], [2, 0], [1, 1], [1, -1], [0.5, 0.25]],
     [[0, 1], [0, -1], [1, 0], [-1, 0], [0.5, 0.5]],
     [[1, 1], [-1, -1], [1, -1], [-1, 1], [0, 0.5], [0.5, 0]],
     [[0, 0], [1, 0], [2, 0], [0, 1], [2, 1], [1, 2]],
-])
+]
+
+
+# grid points make exactly horizontal and vertical pairs, whose zero
+# coordinate differences carry a sign the least-squares solver reads
+@pytest.mark.parametrize("points", GRIDS)
 @pytest.mark.parametrize("rel_tol", [1e-9, 0.5])
 def test_multipliers_match_loop_reference(points, rel_tol):
     config = normalize_to_diameter(PointConfig(points), 2.0)
     active = active_set(config, rel_tol)
     lam, residual = recover_multipliers(config, active)
-    assert (list(lam.values()), residual) == _loop_fit(config, active)
+    ref_lam, ref_residual = _loop_fit(config, active)
+    assert list(lam) == active
+    assert np.abs(np.subtract(list(lam.values()), ref_lam)).max() \
+        <= 1e-9 * max(1.0, np.abs(ref_lam).max())
+    assert residual <= ref_residual + max(1e-12, 1e-9 * ref_residual)
+
+
+def test_many_blocks_match_loop_reference():
+    # 201 pairs, so the Cholesky factor has four diagonal blocks
+    config = regular_ngon(201)
+    active = active_set(config)
+    lam, residual = recover_multipliers(config, active)
+    ref_lam, ref_residual = _loop_fit(config, active)
+    assert len(lam) == 201
+    assert np.abs(np.subtract(list(lam.values()), ref_lam)).max() \
+        <= 1e-9 * max(1.0, np.abs(ref_lam).max())
+    assert residual <= ref_residual + max(1e-12, 1e-9 * ref_residual)
+
+
+# the first two grids at rel_tol 0.5 have 7 and 8 pairs of rank 6 and 7: the
+# normal equations are singular, and the fit is the dense lstsq one
+@pytest.mark.parametrize("points", GRIDS[:2])
+def test_dependent_columns_take_the_lstsq_path(points):
+    config = normalize_to_diameter(PointConfig(points), 2.0)
+    active = active_set(config, 0.5)
+    with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+        lam, residual = recover_multipliers(config, active)
+    assert lstsq.called
+    ref_lam, ref_residual = _loop_fit(config, active)
+    assert list(lam.values()) == ref_lam
+    assert residual <= ref_residual + max(1e-12, 1e-9 * ref_residual)
+
+
+def test_overflowing_normal_equations_fall_back():
+    # pair differences near 1e160 square past the float range
+    active = active_set(regular_ngon(5))
+    config = PointConfig(regular_ngon(5).points * 1e160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+            lam, residual = recover_multipliers(config, active)
+    assert lstsq.called
+    ref_lam, ref_residual = _loop_fit(config, active)
+    assert list(lam.values()) == ref_lam
+    assert residual <= ref_residual + max(1e-12, 1e-9 * ref_residual)
+
+
+@pytest.mark.parametrize("check", [verify, maximizer_structure_report, log_delta_bar])
+def test_one_distance_matrix_per_check(check):
+    real, calls = geometry.pairwise_distances, []
+
+    def counted(z):
+        calls.append(len(z))
+        return real(z)
+
+    with mock.patch.object(geometry, "pairwise_distances", counted), \
+            mock.patch.object(kkt, "pairwise_distances", counted), \
+            mock.patch.object(diamgraph, "pairwise_distances", counted):
+        check(regular_ngon(9))
+    assert calls == [9]

@@ -31,6 +31,7 @@ from polydisc import (
     is_convex_position,
     kite4,
     log_delta_bar,
+    recover_multipliers,
     regular_ngon,
     triwave,
     verify,
@@ -38,6 +39,7 @@ from polydisc import (
 from polydisc import diamgraph
 from polydisc.cli import main, read_config, write_config
 from polydisc.geometry import diameter, normalize_to_diameter
+from polydisc.kkt import stationarity_lhs
 
 bounded = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -102,6 +104,38 @@ def verdict(config):
 def test_verify_verdict_survives_rigid_motion_and_scaling(config, motion, scale):
     base = normalize_to_diameter(config)
     assert verdict(normalize_to_diameter(moved(config, motion, scale))) == verdict(base)
+
+
+@bounded
+@given(st.one_of(st.sampled_from(sorted(STATIONARY)).map(lambda k: STATIONARY[k]()),
+                 grid_configs()),
+       rigid_motions(), st.floats(0.25, 4.0), st.sampled_from([1e-9, 1e-3, 0.1, 0.5]))
+def test_multipliers_match_dense_lstsq(config, motion, scale, rel_tol):
+    config = normalize_to_diameter(moved(config, motion, scale))
+    active = active_set(config, rel_tol)
+    lam, residual = recover_multipliers(config, active)
+    # reference: the dense columns and clamp-and-resolve by np.linalg.lstsq
+    z = config.as_complex
+    a, b = np.array(active, dtype=int).reshape(-1, 2).T
+    M = np.zeros((config.n, len(active)), dtype=complex)
+    M[a, np.arange(len(a))] = np.conj(z[b] - z[a])
+    M[b, np.arange(len(a))] = np.conj(z[a] - z[b])
+    L = stationarity_lhs(z)
+    A, y = np.vstack([M.real, M.imag]), np.concatenate([L.real, L.imag])
+    ref, *_ = np.linalg.lstsq(A, y, rcond=None)
+    for _ in range(len(active) + 2):
+        if (ref >= -1e-12).all():
+            break
+        support = ref > 1e-12
+        refit = np.zeros_like(ref)
+        if support.any():
+            refit[support], *_ = np.linalg.lstsq(A[:, support], y, rcond=None)
+        ref = refit
+    ref = np.maximum(ref, 0.0)
+    ref_residual = float(np.abs(L - M @ ref).max())
+    got = np.array(list(lam.values()))
+    assert np.abs(got - ref).max(initial=0.0) <= 1e-9 * max(1.0, np.abs(ref).max(initial=0.0))
+    assert residual <= ref_residual + max(1e-12, 1e-9 * ref_residual)
 
 
 @bounded
