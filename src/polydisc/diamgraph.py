@@ -6,6 +6,8 @@ Candidate maximizers are screened against a fixed list of structural
 predicates: edge count at most n, minimum degree 1, connectivity, no even
 cycle, pairwise intersecting edge segments, convex position, and a graph
 class that is either a caterpillar or an odd cycle with pendant vertices.
+One depth-first search, the block decomposition, answers connectivity,
+cycle parity and the graph class.
 """
 
 from __future__ import annotations
@@ -103,131 +105,26 @@ def _diameter_graph(d: np.ndarray, rel_tol: float) -> DiameterGraph:
     return DiameterGraph(n=len(d), edges=edges)
 
 
-def _components(graph: DiameterGraph) -> list[set[int]]:
-    adj = graph.adjacency()
-    seen = [False] * graph.n
-    comps = []
-    for s in range(graph.n):
-        if seen[s]:
-            continue
-        comp = {s}
-        seen[s] = True
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(comp)
-    return comps
+def _blocks(graph: DiameterGraph) -> tuple[int, list[list[Edge]]]:
+    """Component count and the edge lists of the biconnected blocks.
 
-
-def is_connected(graph: DiameterGraph) -> bool:
-    return len(_components(graph)) <= 1
-
-
-def _tree_is_caterpillar(graph: DiameterGraph) -> Optional[int]:
-    """Spine length if the tree is a caterpillar, else None.
-
-    The spine is what remains after deleting all leaves; a caterpillar is a
-    tree whose spine is a path (possibly empty).
+    One iterative lowpoint depth-first search (Hopcroft & Tarjan, 1973):
+    every vertex not reached from an earlier root starts a new component,
+    isolated vertices included.
     """
-    adj = graph.adjacency()
-    spine = [v for v in range(graph.n) if len(adj[v]) >= 2]
-    if not spine:
-        return 0
-    spine_set = set(spine)
-    deg_in_spine = {v: len(adj[v] & spine_set) for v in spine}
-    ends = [v for v in spine if deg_in_spine[v] <= 1]
-    if any(d > 2 for d in deg_in_spine.values()):
-        return None
-    if len(spine) == 1:
-        return 1
-    if len(ends) != 2:
-        return None
-    # walk the path from one end and confirm it covers the whole spine
-    prev, cur = None, ends[0]
-    count = 1
-    while True:
-        nxt = [w for w in adj[cur] if w in spine_set and w != prev]
-        if not nxt:
-            break
-        prev, cur = cur, nxt[0]
-        count += 1
-    return len(spine) if count == len(spine) else None
-
-
-def _unique_cycle(graph: DiameterGraph) -> Optional[list[int]]:
-    """Vertices of the unique cycle of a connected graph with |E| == n, else None."""
-    adj = graph.adjacency()
-    deg = {v: len(adj[v]) for v in range(graph.n)}
-    alive = set(range(graph.n))
-    queue = [v for v in alive if deg[v] <= 1]
-    while queue:
-        v = queue.pop()
-        if v not in alive:
-            continue
-        alive.discard(v)
-        for w in adj[v]:
-            if w in alive:
-                deg[w] -= 1
-                if deg[w] <= 1:
-                    queue.append(w)
-    if not alive:
-        return None
-    # remaining vertices must induce a single cycle
-    if any(len(adj[v] & alive) != 2 for v in alive):
-        return None
-    start = min(alive)
-    cycle = [start]
-    prev, cur = None, start
-    while True:
-        nxt = [w for w in adj[cur] if w in alive and w != prev]
-        if not nxt:
-            return None
-        prev, cur = cur, nxt[0]
-        if cur == start:
-            break
-        cycle.append(cur)
-    return cycle if len(cycle) == len(alive) else None
-
-
-def classify(graph: DiameterGraph) -> GraphClass:
-    """Classify an abstract graph by the shapes a maximizer may take."""
-    n, m = graph.n, len(graph.edges)
-    if n >= 2 and not is_connected(graph):
-        return GraphClass(GraphKind.DISCONNECTED)
-    if m == n - 1:
-        spine = _tree_is_caterpillar(graph)
-        if spine is not None:
-            return GraphClass(GraphKind.CATERPILLAR, detail=spine)
-        return GraphClass(GraphKind.OTHER)
-    if m == n:
-        cycle = _unique_cycle(graph)
-        if cycle is not None and len(cycle) % 2 == 1:
-            cyc = set(cycle)
-            if all(a in cyc or b in cyc for a, b in graph.edges):
-                return GraphClass(GraphKind.ODD_CYCLE_WITH_PENDANTS, detail=len(cycle))
-        return GraphClass(GraphKind.OTHER)
-    return GraphClass(GraphKind.OTHER)
-
-
-def _biconnected_blocks(graph: DiameterGraph):
-    """Edge sets of the biconnected components (iterative lowpoint DFS)."""
     adj = graph.adjacency()
     visited = [False] * graph.n
     depth = [0] * graph.n
     low = [0] * graph.n
+    components = 0
     blocks = []
     for root in range(graph.n):
-        if visited[root] or not adj[root]:
+        if visited[root]:
             continue
+        components += 1
+        visited[root] = True
         stack = [(root, None, iter(sorted(adj[root])))]
         edge_stack = []
-        visited[root] = True
-        depth[root] = low[root] = 0
         while stack:
             v, parent, it = stack[-1]
             advanced = False
@@ -257,25 +154,71 @@ def _biconnected_blocks(graph: DiameterGraph):
                         block.append(e)
                         if e == (u, v):
                             break
-                    if block:
-                        blocks.append(block)
-    return blocks
+                    blocks.append(block)
+    return components, blocks
+
+
+def is_connected(graph: DiameterGraph) -> bool:
+    return _blocks(graph)[0] <= 1
 
 
 def has_even_cycle(graph: DiameterGraph) -> bool:
-    """True iff some cycle of the graph has even length.
+    """True iff some cycle of the graph has even length."""
+    return _blocks_have_even_cycle(_blocks(graph)[1])
+
+
+def _blocks_have_even_cycle(blocks: list[list[Edge]]) -> bool:
+    """True iff some block holds an even cycle.
 
     A graph is even-cycle-free exactly when every biconnected block is a
-    single edge or an odd cycle.
+    single edge or an odd cycle; a block with as many vertices as edges is a
+    cycle.
     """
-    for block in _biconnected_blocks(graph):
-        verts = {v for e in block for v in e}
-        if len(block) == 1:
-            continue
-        if len(block) == len(verts) and len(verts) % 2 == 1:
-            continue
-        return True
+    for block in blocks:
+        if len(block) > 1 and (len(block) % 2 == 0
+                               or len(block) != len({v for e in block for v in e})):
+            return True
     return False
+
+
+def _tree_is_caterpillar(graph: DiameterGraph) -> Optional[int]:
+    """Spine length if the tree is a caterpillar, else None.
+
+    The spine is what remains after deleting all leaves; a caterpillar is a
+    tree whose spine is a path (possibly empty).  The spine of a tree is
+    itself a tree, so it is a path exactly when no spine vertex has more
+    than two spine neighbours.
+    """
+    adj = graph.adjacency()
+    spine = {v for v in range(graph.n) if len(adj[v]) >= 2}
+    if any(len(adj[v] & spine) > 2 for v in spine):
+        return None
+    return len(spine)
+
+
+def classify(graph: DiameterGraph) -> GraphClass:
+    """Classify an abstract graph by the shapes a maximizer may take."""
+    return _classify(graph, *_blocks(graph))
+
+
+def _classify(graph: DiameterGraph, components: int, blocks: list[list[Edge]]) -> GraphClass:
+    """classify from the graph's component count and biconnected blocks."""
+    n, m = graph.n, len(graph.edges)
+    if n >= 2 and components > 1:
+        return GraphClass(GraphKind.DISCONNECTED)
+    if m == n - 1:
+        spine = _tree_is_caterpillar(graph)
+        if spine is not None:
+            return GraphClass(GraphKind.CATERPILLAR, detail=spine)
+        return GraphClass(GraphKind.OTHER)
+    # a connected graph with m = n has one cycle: its only block of more
+    # than one edge, with as many edges as vertices
+    cycles = [block for block in blocks if len(block) > 1]
+    if m == n and len(cycles) == 1 and len(cycles[0]) % 2 == 1:
+        cyc = {v for e in cycles[0] for v in e}
+        if all(a in cyc or b in cyc for a, b in graph.edges):
+            return GraphClass(GraphKind.ODD_CYCLE_WITH_PENDANTS, detail=len(cycles[0]))
+    return GraphClass(GraphKind.OTHER)
 
 
 def _on_segment(p, q, r, eps):
@@ -390,16 +333,12 @@ def caterpillar_count(n: int) -> int:
     return 2 ** (n - 4) + 2 ** (n // 2 - 2)
 
 
-def _caterpillar_from_counts(counts: tuple[int, ...], n: int) -> DiameterGraph:
-    s = len(counts)
-    edges = {(i, i + 1) for i in range(s - 1)}
-    nxt = s
-    for i, c in enumerate(counts):
-        for _ in range(c):
-            edges.add((i, nxt))
-            nxt += 1
-    assert nxt == n
-    return DiameterGraph(n=n, edges=frozenset(edges))
+def _with_pendants(edges: set, counts: tuple[int, ...]) -> DiameterGraph:
+    """edges on vertices 0..len(counts)-1 plus counts[i] pendant vertices at
+    vertex i, numbered from len(counts) on, vertex by vertex."""
+    owners = [i for i, c in enumerate(counts) for _ in range(c)]
+    edges = edges | {(i, len(counts) + j) for j, i in enumerate(owners)}
+    return DiameterGraph(n=len(counts) + len(owners), edges=frozenset(edges))
 
 
 def enumerate_caterpillars(n: int) -> list[DiameterGraph]:
@@ -433,7 +372,7 @@ def enumerate_caterpillars(n: int) -> list[DiameterGraph]:
             if key in seen:
                 continue
             seen.add(key)
-            out.append(_caterpillar_from_counts(key, n))
+            out.append(_with_pendants({(i, i + 1) for i in range(s - 1)}, key))
     return out
 
 
@@ -467,13 +406,7 @@ def enumerate_unicyclic_candidates(n: int) -> list[DiameterGraph]:
             if key in seen:
                 continue
             seen.add(key)
-            edges = {(i, (i + 1) % k) for i in range(k)}
-            nxt = k
-            for i, c in enumerate(key):
-                for _ in range(c):
-                    edges.add((i, nxt))
-                    nxt += 1
-            out.append(DiameterGraph(n=n, edges=frozenset(edges)))
+            out.append(_with_pendants({(i, (i + 1) % k) for i in range(k)}, key))
     return out
 
 
@@ -529,12 +462,13 @@ def maximizer_structure_report(config: PointConfig, rel_tol: float = 1e-9) -> St
     """Evaluate every structural predicate a maximizer must satisfy."""
     d = pairwise_distances(config.as_complex)
     graph = _diameter_graph(d, rel_tol)
-    gclass = classify(graph)
+    components, blocks = _blocks(graph)
+    gclass = _classify(graph, components, blocks)
     return StructureReport(
         edge_count_ok=len(graph.edges) <= graph.n,
         min_degree_ok=min(graph.degrees()) >= 1 if graph.n else True,
-        connected=is_connected(graph),
-        no_even_cycle=not has_even_cycle(graph),
+        connected=components <= 1,
+        no_even_cycle=not _blocks_have_even_cycle(blocks),
         pairwise_intersecting=_pairwise_intersecting(config.points, d, graph),
         convex_position=_convex_position(config.points, d) if config.n >= 3 else True,
         class_ok=gclass.kind in (GraphKind.CATERPILLAR, GraphKind.ODD_CYCLE_WITH_PENDANTS),

@@ -85,7 +85,8 @@ class EvalReport:
 def pairwise_distances(z: np.ndarray) -> np.ndarray:
     """Full (n, n) matrix of |z_i - z_j| with zeros on the diagonal."""
     z = np.asarray(z, dtype=complex)
-    return np.abs(z[:, None] - z[None, :])
+    with np.errstate(over="ignore"):  # differences past the float range are inf
+        return np.abs(z[:, None] - z[None, :])
 
 
 def _distinct(d: np.ndarray) -> bool:
@@ -135,11 +136,24 @@ def normalize_to_diameter(config: PointConfig, target: float = 2.0) -> PointConf
     if target <= 0:
         raise InvalidConfigError("target diameter must be positive")
     diam = diameter(config)
-    if diam == 0.0:
-        raise InvalidConfigError("zero-diameter configuration cannot be rescaled")
+    scale = _rescale_factor(diam, target)
     if abs(diam - target) <= 1e-14 * target:
         return config
-    return PointConfig(config.points * (target / diam))
+    return PointConfig(config.points * scale)
+
+
+def _rescale_factor(diam: float, target: float = 2.0) -> float:
+    """target / diam, the factor that rescales diameter diam to target.
+
+    Raises InvalidConfigError when diam is zero, or when diam or the factor
+    is past the float range.
+    """
+    if diam == 0.0:
+        raise InvalidConfigError("zero-diameter configuration cannot be rescaled")
+    scale = target / diam
+    if not (math.isfinite(diam) and math.isfinite(scale)):
+        raise InvalidConfigError(f"diameter {diam:.3g} cannot be rescaled to {target:g}")
+    return scale
 
 
 def normalized_discriminant(config: PointConfig, rescale_to_diameter: bool = True) -> float:
@@ -147,13 +161,14 @@ def normalized_discriminant(config: PointConfig, rescale_to_diameter: bool = Tru
     n = config.n
     if n < 1:
         raise InvalidConfigError("normalized discriminant requires n >= 1")
-    if rescale_to_diameter and n >= 2 and diameter(config) == 0.0:
-        raise InvalidConfigError("zero-diameter configuration cannot be rescaled")
+    rescale = rescale_to_diameter and n >= 2
+    if rescale:
+        log_scale = math.log(_rescale_factor(diameter(config)))
     _, log_delta = discriminant(config)
     if log_delta == -math.inf:
         return 0.0
-    if rescale_to_diameter and n >= 2:
-        log_delta += n * (n - 1) * math.log(2.0 / diameter(config))
+    if rescale:
+        log_delta += n * (n - 1) * log_scale
     return _exp(log_delta - n * math.log(n))
 
 
@@ -167,7 +182,7 @@ def log_delta_bar(config: PointConfig) -> float:
     diam = float(d.max())
     if diam == 0.0 or log_delta == -math.inf:
         return -math.inf
-    return log_delta + n * (n - 1) * math.log(2.0 / diam) - n * math.log(n)
+    return log_delta + n * (n - 1) * math.log(_rescale_factor(diam)) - n * math.log(n)
 
 
 def evaluate(config: PointConfig) -> EvalReport:

@@ -61,9 +61,13 @@ def _active_pairs(d: np.ndarray, rel_tol: float) -> list[Pair]:
 
 def stationarity_lhs(z: np.ndarray) -> np.ndarray:
     """Per-point sums L_k = sum_{j != k} 1/(z_j - z_k)."""
+    # kept apart from geometry.complex_gradient (which is -2 conj(L)): this
+    # reciprocal stays finite past |z_j - z_k| ~ 1e154, where the squared
+    # modulus in complex_gradient overflows
     diff = z[None, :] - z[:, None]  # [k, j] = z_j - z_k
     np.fill_diagonal(diff, 1.0)
-    inv = 1.0 / diff
+    with np.errstate(over="ignore", invalid="ignore"):  # _fit rejects non-finite sums
+        inv = 1.0 / diff
     np.fill_diagonal(inv, 0.0)
     return inv.sum(axis=1)
 
@@ -248,6 +252,8 @@ def _fit(z: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
     """Nonnegative multipliers of the active pairs (a < b) and the per-point
     stationarity residual they leave."""
     L = stationarity_lhs(z)
+    if not np.isfinite(L).all():
+        raise SingularConfigError("points too close: the stationarity sums overflow")
     if not len(a):
         return np.zeros(0), L
     # pair {a, b} contributes conj(z_b - z_a) at point a and its negative at b

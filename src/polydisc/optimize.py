@@ -403,7 +403,7 @@ def _newton_kkt(z, act, lam_matrix, keep):
     ``lam_matrix`` seeds the first working set's multipliers.  Pairs in
     ``keep`` stay in the working set even with negative multipliers
     (prescribed graph edges are equality targets).  Returns
-    (z, active, multipliers, converged, newton_iters).
+    (z, converged, newton_iters).
     """
     n = len(z)
     act = sorted(set(act))
@@ -459,7 +459,7 @@ def _newton_kkt(z, act, lam_matrix, keep):
             if not accepted:
                 break
         if not converged:
-            return z, act, None, False, total_its
+            return z, False, total_its
         # working-set adjustment: add the worst violated pair (the first in
         # row-major order among equals), else drop the most negative
         # removable multiplier
@@ -472,26 +472,26 @@ def _newton_kkt(z, act, lam_matrix, keep):
         else:
             removable = [c for c, e in enumerate(act) if e not in keep and lm[c] < -1e-9]
             if not removable:
-                return zz, act, lm, True, total_its
+                return zz, True, total_its
             drop = act[min(removable, key=lambda c: lm[c])]
             act.remove(drop)
         a, b = _pair_arrays(act)
         z, lam = zz, None
-    return z, act, None, False, total_its
+    return z, False, total_its
 
 
 def _polish(n, index, z, lam_matrix, used, keep, trace):
     """Newton polish, certification and summary of one start after its ascent."""
     d = pairwise_distances(z)
     act = set(keep) | set(upper_pairs((lam_matrix > 1e-7) | (d >= 2.0 - 1e-5)))
-    z2, act2, lm, ok, newton_its = _newton_kkt(z, act, lam_matrix, keep)
+    z2, ok, newton_its = _newton_kkt(z, act, lam_matrix, keep)
     iterations = int(used) + newton_its
 
     z_final = _rescale(z2 if ok else z)
     config = PointConfig.from_complex(z_final)
     ldb = log_delta_bar(config)
-    final_active = kkt.active_set(config, 1e-9)
-    multipliers, residual = kkt.recover_multipliers(config, final_active)
+    report = kkt.verify(config)
+    residual = report.stationarity_residual
     if not ok:
         term = TERM_ITERATION_CAP if iterations >= _MAX_ITERS else TERM_STALLED
     else:
@@ -499,10 +499,10 @@ def _polish(n, index, z, lam_matrix, used, keep, trace):
     summary = StartSummary(
         index=index, log_delta_bar=ldb, kkt_residual=residual,
         iterations=iterations, termination=term,
-        active_set=tuple(sorted(final_active)),
+        active_set=report.active_set,
         trace=tuple(trace) if trace else (),
     )
-    return summary, config, multipliers, ok
+    return summary, config, report.multipliers, ok
 
 
 def _solve(n: int, opts: OptimizeOptions, edge_sets):

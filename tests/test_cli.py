@@ -144,6 +144,23 @@ class TestEvaluate:
         assert run(command, str(path)) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    # a diameter past the float range, one too small to rescale to 2, and
+    # points so close after rescaling that the stationarity sums overflow
+    @pytest.mark.parametrize("command", ["evaluate", "kkt"])
+    @pytest.mark.parametrize("points,code", [
+        ([[0, 1e308], [0, -1e308]], 2),
+        ([[0, 0], [0, 1e308], [0, -1e308]], 2),
+        ([[0, 0], [0, 72348.0], [0, 2.012233415076728e-304]], 4),
+        ([[0, 0], [0, 5e-324], [1e-323, 0]], 2),
+    ])
+    def test_extreme_coordinates_exit_cleanly(self, tmp_path, capsys, command, points, code):
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps({"schema_version": 1, "n": len(points), "points": points}))
+        assert run(command, str(path)) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err + captured.out
+
 
 class TestOptimize:
     def test_deterministic_output(self, tmp_path):

@@ -1,6 +1,7 @@
 """Property tests: relabeling, rigid motion and scaling, canonical pose,
-congruence, persistence, CLI exits, and the edge intersection screen against
-a per-pair reference.
+congruence, persistence, CLI exits, the edge intersection screen against
+a per-pair reference, and the graph predicates against brute-force
+definitions.
 
 Point sets are drawn on a grid of step 1/16 so that ties in distance and
 collinear triples are exact and frequent; the runs are derandomized and
@@ -20,9 +21,11 @@ from hypothesis import strategies as st
 
 from polydisc import (
     DiameterGraph,
+    GraphKind,
     PointConfig,
     active_set,
     check_pairwise_intersection,
+    classify,
     congruent,
     dodecagon12,
     extract,
@@ -238,6 +241,78 @@ def test_pairwise_intersection_matches_per_pair_reference(case, block):
     with mock.patch.object(diamgraph, "_BLOCK_ENTRIES", block):
         assert check_pairwise_intersection(config, graph) \
             == reference_pairwise_intersection(config, graph)
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on 1-7 vertices: a random edge set, or a random tree with up
+    to two more edges, so that trees and unicyclic graphs are frequent."""
+    n = draw(st.integers(1, 7))
+    if n == 1:
+        return DiameterGraph(n=1)
+    pairs = st.sampled_from(list(itertools.combinations(range(n), 2)))
+    if draw(st.booleans()):
+        return DiameterGraph(n=n, edges=frozenset(draw(st.sets(pairs))))
+    perm = draw(st.permutations(range(n)))
+    tree = {tuple(sorted((perm[v], perm[draw(st.integers(0, v - 1))]))) for v in range(1, n)}
+    return DiameterGraph(n=n, edges=frozenset(tree | draw(st.sets(pairs, max_size=2))))
+
+
+def connected_by_bfs(graph):
+    adj = graph.adjacency()
+    seen, queue = {0}, [0]
+    for v in queue:
+        queue += [w for w in adj[v] if w not in seen]
+        seen |= adj[v]
+    return len(seen) == graph.n
+
+
+def simple_cycles(graph):
+    """Vertex sequences of the simple cycles, each once: it starts at its
+    smallest vertex and its second vertex is below its last."""
+    for k in range(3, graph.n + 1):
+        for first, *rest in itertools.combinations(range(graph.n), k):
+            for order in itertools.permutations(rest):
+                cycle = (first,) + order
+                if cycle[1] < cycle[-1] and all(
+                        tuple(sorted((cycle[i - 1], cycle[i]))) in graph.edges
+                        for i in range(k)):
+                    yield cycle
+
+
+def reference_class(graph):
+    """A caterpillar is a tree whose non-leaf vertices induce a path; an odd
+    cycle with pendants is connected with m = n, and its one cycle is odd
+    and touches every edge."""
+    n, m, adj = graph.n, len(graph.edges), graph.adjacency()
+    if not connected_by_bfs(graph):
+        return GraphKind.DISCONNECTED, None
+    if m == n - 1:
+        spine = [v for v in range(n) if len(adj[v]) >= 2]
+        induced = [(a, b) for a, b in graph.edges if a in spine and b in spine]
+        if len(induced) == max(len(spine) - 1, 0) and any(
+                all(path[i + 1] in adj[path[i]] for i in range(len(path) - 1))
+                for path in itertools.permutations(spine)):
+            return GraphKind.CATERPILLAR, len(spine)
+    cycles = list(simple_cycles(graph))
+    if m == n and len(cycles) == 1 and len(cycles[0]) % 2 == 1 and all(
+            a in cycles[0] or b in cycles[0] for a, b in graph.edges):
+        return GraphKind.ODD_CYCLE_WITH_PENDANTS, len(cycles[0])
+    return GraphKind.OTHER, None
+
+
+# the smallest tree that is not a caterpillar: three legs of two edges
+SPIDER = DiameterGraph(n=7, edges=frozenset({(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)}))
+
+
+@settings(bounded, max_examples=400)
+@given(small_graphs())
+@example(SPIDER)
+def test_graph_predicates_match_brute_force(graph):
+    gclass = classify(graph)
+    assert diamgraph.is_connected(graph) == connected_by_bfs(graph)
+    assert diamgraph.has_even_cycle(graph) == any(len(c) % 2 == 0 for c in simple_cycles(graph))
+    assert (gclass.kind, gclass.detail) == reference_class(graph)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
