@@ -63,14 +63,13 @@ def read_config(path: str) -> tuple[PointConfig, dict]:
     points = doc.get("points", [])
     if not isinstance(points, list) or len(points) != doc.get("n"):
         raise _UsageError("point count does not match n")
-    if not all(isinstance(p, list) and all(map(_is_number, p)) for p in points):
+    if not all(isinstance(p, list) and len(p) == 2 and all(map(_is_number, p))
+               for p in points):
         raise _UsageError("points must be [x, y] pairs of numbers")
     try:
         arr = np.asarray(points, dtype=float)
     except (OverflowError, ValueError):
         raise _UsageError("points must be [x, y] pairs of numbers") from None
-    if arr.size and arr.shape[1:] != (2,):
-        raise _UsageError("points must be [x, y] pairs of numbers")
     if arr.size and not np.isfinite(arr).all():
         raise _UsageError("non-finite coordinates in file")
     return PointConfig(arr.reshape(-1, 2)), doc.get("meta", {})

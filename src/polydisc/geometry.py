@@ -261,11 +261,30 @@ def objective_gradient(config: PointConfig) -> np.ndarray:
         raise InvalidConfigError("gradient requires n >= 2")
     if not config.is_distinct():
         raise SingularConfigError("coincident points make the objective singular")
-    g = complex_gradient(config.as_complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = -2.0 * np.conj(stationarity_lhs(config.as_complex))
+    if not np.isfinite(g).all():
+        raise SingularConfigError("the gradient is past the float range")
     out = np.empty(2 * config.n)
     out[0::2] = g.real
     out[1::2] = g.imag
     return out
+
+
+def stationarity_lhs(z: np.ndarray) -> np.ndarray:
+    """Per-point sums L_k = sum_{j != k} 1/(z_j - z_k).
+
+    The gradient df/dx_k + i df/dy_k of f = sum log |z_k - z_j|^2 is
+    -2 conj(L_k).  Unlike complex_gradient, the reciprocal needs no squared
+    modulus, so it stays finite wherever the separations and their
+    reciprocals are.
+    """
+    diff = z[None, :] - z[:, None]  # [k, j] = z_j - z_k
+    np.fill_diagonal(diff, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # callers reject non-finite sums
+        inv = 1.0 / diff
+    np.fill_diagonal(inv, 0.0)
+    return inv.sum(axis=1)
 
 
 def complex_gradient(z: np.ndarray) -> np.ndarray:

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, SingularConfigError
-from .geometry import PointConfig, _distinct, pairwise_distances, upper_pairs
+from .geometry import (PointConfig, _distinct, pairwise_distances, stationarity_lhs,
+                       upper_pairs)
 
 Pair = tuple[int, int]
 
@@ -57,19 +58,6 @@ def active_set(config: PointConfig, rel_tol: float = 1e-9) -> list[Pair]:
 def _active_pairs(d: np.ndarray, rel_tol: float) -> list[Pair]:
     """active_set from the configuration's distance matrix."""
     return upper_pairs(d ** 2 >= 4.0 * (1.0 - rel_tol))
-
-
-def stationarity_lhs(z: np.ndarray) -> np.ndarray:
-    """Per-point sums L_k = sum_{j != k} 1/(z_j - z_k)."""
-    # kept apart from geometry.complex_gradient (which is -2 conj(L)): this
-    # reciprocal stays finite past |z_j - z_k| ~ 1e154, where the squared
-    # modulus in complex_gradient overflows
-    diff = z[None, :] - z[:, None]  # [k, j] = z_j - z_k
-    np.fill_diagonal(diff, 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):  # _fit rejects non-finite sums
-        inv = 1.0 / diff
-    np.fill_diagonal(inv, 0.0)
-    return inv.sum(axis=1)
 
 
 def _pair_arrays(pairs):

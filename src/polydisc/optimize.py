@@ -5,9 +5,11 @@ merit function in which every pair carries the inequality |z_i - z_j|^2 <= 4
 (equality targets on prescribed graph edges).  The multiplier estimates then
 seed an active-set Newton solve of the first-order system, which polishes
 the configuration to stationarity near machine precision.  Starts are
-independent and reproducible from (seed, start index): all starts of a run
-climb together as one stack of arrays, and each start's output does not
-depend on the stack it ran in.
+independent and reproducible from (seed, start index).  All starts of a run
+climb together as one stack of arrays, in lockstep rounds: each round steps
+the starts still ascending at fixed multipliers, then updates their
+multipliers and penalties at once.  A start's output does not depend on the
+stack it ran in.
 """
 
 from __future__ import annotations
@@ -34,10 +36,16 @@ TERM_STALLED = "stalled"
 # consecutive chunks, so peak memory does not grow with the start count.
 _STACK_ENTRIES = 1 << 14
 
-# Per start: the iteration budget, the ascent's initial step, penalty and
-# penalty growth factor, the KKT residual below which a polished start counts
-# as converged, and the constraint violation that ends the ascent.
+# A polish that fails after this many ascent and Newton iterations in all is
+# labelled iteration-cap rather than stalled.
 _MAX_ITERS = 2000
+
+# Per start: at most _ROUNDS ascent rounds of at most _ROUND_STEPS steps, the
+# round's initial step, the initial penalty and its growth factor, the KKT
+# residual below which a polished start counts as converged, and the
+# constraint violation that ends the ascent.
+_ROUNDS = 12
+_ROUND_STEPS = 150
 _STEP_INIT = 1e-2
 _PENALTY_INIT = 10.0
 _PENALTY_GROWTH = 10.0
@@ -219,121 +227,17 @@ def _line_search(z, direction, phi, alpha, lam, mu, eq):
     return found, z_new, phi_new, step
 
 
-class _Ascent:
-    """Augmented-Lagrangian ascent of a stack of starts, in lockstep.
-
-    Row r of every array belongs to start ``ids[r]``.  Each start keeps its
-    own round counter, penalty mu, step alpha, iteration count and previous
-    violation, so it takes exactly the steps it would take alone.  A round
-    ends when the start's gradient test passes, its line search fails or it
-    reaches the round's step cap; a start leaves the stack after its last
-    round.  ``it`` counts the stack's steps: a row's current round began
-    after step ``begun`` and ends with step ``stop_at``, and ``used`` counts
-    the iterations of its finished rounds.
-    """
-
-    _ROWS = ("ids", "z", "lam", "eq", "mu", "gtol", "viol_prev", "used", "rnd",
-             "alpha", "phi", "begun", "stop_at")
-
-    def __init__(self, z, eq):
-        S, n = z.shape
-        self.it = 0
-        self.ids = np.arange(S)
-        self.z = z
-        self.lam = np.zeros((S, n, n))
-        self.eq = eq
-        self.mu = np.full(S, _PENALTY_INIT)
-        self.viol_prev = np.full(S, math.inf)
-        self.used = np.zeros(S, dtype=int)
-        self.rnd = np.zeros(S, dtype=int)
-        self.gtol = np.empty(S)
-        self.alpha = np.empty(S)
-        self.phi = np.empty(S)
-        self.begun = np.empty(S, dtype=int)
-        self.stop_at = np.empty(S, dtype=int)
-        self._begin(self.ids)
-
-    def _eq(self, rows):
-        return None if self.eq is None else self.eq[rows]
-
-    def _begin(self, rows):
-        self.gtol[rows] = np.maximum(1e-9, 1e-3 / self.mu[rows])
-        self.alpha[rows] = _STEP_INIT
-        self.begun[rows] = self.it
-        cap = np.minimum(150, np.maximum(0, _MAX_ITERS - self.used[rows]))
-        self.stop_at[rows] = self.it + cap
-        self.phi[rows] = _merit_value(self.z[rows], self.lam[rows], self.mu[rows],
-                                      self._eq(rows))
-
-    def step(self, traces=None):
-        """One ascent step of every row; a row whose gradient test passes or
-        whose line search fails ends its round instead of moving."""
-        self.it += 1
-        d = _merit_gradient(self.z, self.lam, self.mu, self.eq)
-        nd = np.maximum.reduce(np.abs(d), axis=1)
-        going = nd >= self.gtol
-        rows = slice(None) if going.all() else np.flatnonzero(going)
-        found, z_new, phi_new, taken = _line_search(
-            self.z[rows], d[rows] / nd[rows, None], self.phi[rows], self.alpha[rows],
-            self.lam[rows], self.mu[rows], self._eq(rows))
-        if found is None and isinstance(rows, slice):  # the usual case: all rows move
-            moved = slice(None)
-            self.z, self.phi = z_new, phi_new
-            self.alpha = np.minimum(taken * 2.0, 1.0)
-        else:
-            moved = np.arange(len(self.ids))[rows]
-            if found is not None:
-                moved = moved[found]
-                z_new, phi_new, taken = z_new[found], phi_new[found], taken[found]
-            self.z[moved] = z_new
-            self.phi[moved] = phi_new
-            self.alpha[moved] = np.minimum(taken * 2.0, 1.0)
-            ended = np.ones(len(self.ids), dtype=bool)
-            ended[moved] = False
-            self.stop_at[ended] = self.it
-        if traces is not None:
-            for r in np.arange(len(self.ids))[moved]:
-                ldb = log_delta_bar(PointConfig.from_complex(_rescale(self.z[r])))
-                used = self.used[r] + self.it - self.begun[r]
-                traces[self.ids[r]].append(
-                    (int(self.rnd[r]), int(used), float(self.phi[r]), float(ldb)))
-
-    def end_rounds(self, rows):
-        """Multiplier and penalty update of rows whose round has ended; the
-        rows that go on begin their next round.  Returns the finished rows."""
-        self.used[rows] += self.it - self.begun[rows]
-        g = _pair_sq(self.z[rows])[1] - 4.0
-        mu = self.mu[rows]
-        t = self.lam[rows] + mu[:, None, None] * g
-        eq = self._eq(rows)
-        if eq is None:
-            viol = np.maximum(0.0, g)
-            lam = np.maximum(0.0, t)
-        else:
-            viol = np.where(eq, np.abs(g), np.maximum(0.0, g))
-            lam = np.where(eq, t, np.maximum(0.0, t))
-        self.lam[rows] = lam
-        v = viol.max(axis=(1, 2))
-        done = v < _TOL_CONSTRAINT
-        self.mu[rows] = np.where(~done & (v > 0.25 * self.viol_prev[rows]),
-                                 mu * _PENALTY_GROWTH, mu)
-        self.viol_prev[rows] = v
-        self.rnd[rows] += 1
-        done |= (self.used[rows] >= _MAX_ITERS) | (self.rnd[rows] >= 12)
-        self._begin(rows[~done])
-        return rows[done]
-
-    def drop(self, rows):
-        keep = np.ones(len(self.ids), dtype=bool)
-        keep[rows] = False
-        for name in self._ROWS:
-            value = getattr(self, name)
-            if value is not None:
-                setattr(self, name, value[keep])
-
-
 def _al_phase(z, eq, traces=None):
-    """Augmented-Lagrangian ascent of the (S, n) stack of starts ``z``.
+    """Augmented-Lagrangian ascent of the (S, n) stack of starts ``z``, in
+    lockstep rounds.
+
+    A round takes the starts still ascending through at most _ROUND_STEPS
+    normalized-gradient steps at fixed multipliers and penalty.  A start
+    leaves the round when its gradient test passes or its line search fails,
+    and that step counts as one of its iterations.  After the round, each of
+    its starts updates its multipliers and penalty, and leaves the ascent
+    once its constraint violation is below _TOL_CONSTRAINT or after _ROUNDS
+    rounds.
 
     ``eq`` is None or the (S, n, n) mask of equality pairs; ``traces``, when
     given, holds one list per start that receives its accepted steps as
@@ -341,22 +245,60 @@ def _al_phase(z, eq, traces=None):
     (S, n, n) multiplier matrices and the iterations used per start.
     """
     S, n = z.shape
-    z_out = np.empty_like(z)
-    lam_out = np.empty((S, n, n))
-    used_out = np.empty(S, dtype=int)
-    stack = _Ascent(z.copy(), eq)
-    while len(stack.ids):
-        over = stack.stop_at <= stack.it
-        if over.any():
-            done = stack.end_rounds(np.flatnonzero(over))
-            ids = stack.ids[done]
-            z_out[ids] = stack.z[done]
-            lam_out[ids] = stack.lam[done]
-            used_out[ids] = stack.used[done]
-            stack.drop(done)
+    z = z.copy()
+    lam = np.zeros((S, n, n))
+    mu = np.full(S, _PENALTY_INIT)
+    viol_prev = np.full(S, math.inf)
+    used = np.zeros(S, dtype=int)
+    ids = np.arange(S)  # the starts still ascending
+    for rnd in range(_ROUNDS):
+        # the starts still stepping in this round, and their rows
+        live, zl, laml, mul = ids, z[ids], lam[ids], mu[ids]
+        eql = None if eq is None else eq[ids]
+        gtol = np.maximum(1e-9, 1e-3 / mul)
+        alpha = np.full(len(ids), _STEP_INIT)
+        phi = _merit_value(zl, laml, mul, eql)
+        for k in range(1, _ROUND_STEPS + 1):
+            d = _merit_gradient(zl, laml, mul, eql)
+            nd = np.maximum.reduce(np.abs(d), axis=1)
+            go = nd >= gtol
+            sub = slice(None) if go.all() else go
+            found, z_new, phi, taken = _line_search(
+                zl[sub], d[sub] / nd[sub, None], phi[sub], alpha[sub], laml[sub],
+                mul[sub], None if eql is None else eql[sub])
+            if found is not None:
+                go[go] = found
+                z_new, phi, taken = z_new[found], phi[found], taken[found]
+            if not go.all():  # the rows that did not move end their round
+                stop = ~go
+                z[live[stop]] = zl[stop]
+                used[live[stop]] += k
+                live, laml, mul, gtol = live[go], laml[go], mul[go], gtol[go]
+                eql = None if eql is None else eql[go]
+            zl, alpha = z_new, np.minimum(taken * 2.0, 1.0)
+            if traces is not None:
+                for i, zi, p in zip(live.tolist(), zl, phi):
+                    ldb = log_delta_bar(PointConfig.from_complex(_rescale(zi)))
+                    traces[i].append((rnd, int(used[i]) + k, float(p), float(ldb)))
+            if not live.size:
+                break
+        z[live] = zl
+        used[live] += _ROUND_STEPS
+        # multiplier and penalty update of the round's starts
+        g = _pair_sq(z[ids])[1] - 4.0
+        t = lam[ids] + mu[ids, None, None] * g
+        if eq is None:
+            viol, lam[ids] = np.maximum(0.0, g), np.maximum(0.0, t)
         else:
-            stack.step(traces)
-    return z_out, lam_out, used_out
+            viol = np.where(eq[ids], np.abs(g), np.maximum(0.0, g))
+            lam[ids] = np.where(eq[ids], t, np.maximum(0.0, t))
+        v = viol.max(axis=(1, 2))
+        mu[ids[v > 0.25 * viol_prev[ids]]] *= _PENALTY_GROWTH
+        viol_prev[ids] = v
+        ids = ids[~(v < _TOL_CONSTRAINT)]
+        if not ids.size:
+            break
+    return z, lam, used
 
 
 def _grad_real(z):

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from polydisc.cli import main, read_config, write_config, write_svg
+from polydisc.cli import _UsageError, main, read_config, write_config, write_svg
 from polydisc.geometry import PointConfig
 
 
@@ -143,6 +143,12 @@ class TestEvaluate:
         path.write_text(f'{{"schema_version": 1, "n": 2, "points": {points}, "meta": {{}}}}')
         assert run(command, str(path)) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_empty_point_entries_rejected(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text('{"schema_version": 1, "n": 2, "points": [[], []], "meta": {}}')
+        with pytest.raises(_UsageError, match="pairs of numbers"):
+            read_config(str(path))
 
     # a diameter past the float range, one too small to rescale to 2, and
     # points so close after rescaling that the stationarity sums overflow

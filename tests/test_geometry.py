@@ -206,6 +206,20 @@ class TestGradient:
         with pytest.raises(SingularConfigError):
             objective_gradient(PointConfig([[0, 0], [0, 0]]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e160, 1e-160])
+    def test_scales_past_squared_range(self, scale):
+        # |z_j - z_k|^2 overflows (1e320) or its reciprocal does (1e-320)
+        unit = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        grad = objective_gradient(PointConfig(unit * scale))
+        expected = objective_gradient(PointConfig(unit)) / scale
+        assert np.abs(grad - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gradient_past_float_range_rejected(self):
+        with pytest.raises(SingularConfigError):
+            objective_gradient(PointConfig([[0, 0], [0, 5e-324], [1e-323, 0]]))
+
 
 class TestInvariants:
     def test_rigid_motion_invariance(self):

@@ -82,12 +82,23 @@ class TestMaximizeFree:
         assert np.array_equal(a.config.points, b.config.points)
         assert a.active_set == b.active_set
 
-    def test_start_does_not_depend_on_batch(self):
+    @pytest.mark.parametrize("graph", [None, "6;1-2,2-3,1-3,1-4,2-5,3-6"],
+                             ids=["free", "graph"])
+    @pytest.mark.parametrize("record_trace", [False, True], ids=["untraced", "traced"])
+    def test_start_does_not_depend_on_batch(self, record_trace, graph):
         # start i takes the same steps in a batch of 1, 3 or 6 starts
-        full = maximize_free(6, OptimizeOptions(seed=5, starts=6)).starts
+        def starts(size):
+            opts = OptimizeOptions(seed=5, starts=size, record_trace=record_trace)
+            if graph is None:
+                return maximize_free(6, opts).starts
+            return maximize_with_graph(6, parse_graph_text(graph), opts).starts
+
+        full = starts(6)
         for size in (1, 3):
-            part = maximize_free(6, OptimizeOptions(seed=5, starts=size)).starts
-            assert part == full[:size]
+            assert starts(size) == full[:size]
+        if record_trace:
+            steps = [entry[:2] for s in full for entry in s.trace]
+            assert steps and all(rnd < 12 and it <= 1800 for rnd, it in steps)
 
     def test_chunks_match_one_stack(self, monkeypatch):
         opts = OptimizeOptions(seed=2, starts=5)
