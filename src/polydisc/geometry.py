@@ -20,6 +20,10 @@ from .errors import InvalidConfigError, SingularConfigError
 # exp() overflows above this; larger log-values are reported as log-only
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
+# stationarity_lhs scales coordinates past _HUGE by the exact _PRESCALE
+_HUGE = 2.0 ** 1000
+_PRESCALE = 2.0 ** -600
+
 
 def _exp(x: float) -> float:
     """exp(x), or inf past the float range."""
@@ -277,14 +281,21 @@ def stationarity_lhs(z: np.ndarray) -> np.ndarray:
     The gradient df/dx_k + i df/dy_k of f = sum log |z_k - z_j|^2 is
     -2 conj(L_k).  Unlike complex_gradient, the reciprocal needs no squared
     modulus, so it stays finite wherever the separations and their
-    reciprocals are.
+    reciprocals are.  Coordinates past 2^1000, where a difference or the
+    reciprocal's internal scaling can overflow, are first scaled by 2^-600;
+    L is homogeneous of degree -1 and the scaling is exact, so the sums are
+    then scaled by 2^-600 too.
     """
+    huge = np.maximum(np.abs(z.real), np.abs(z.imag)).max(initial=0.0) > _HUGE
+    if huge:
+        z = z * _PRESCALE
     diff = z[None, :] - z[:, None]  # [k, j] = z_j - z_k
     np.fill_diagonal(diff, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):  # callers reject non-finite sums
         inv = 1.0 / diff
     np.fill_diagonal(inv, 0.0)
-    return inv.sum(axis=1)
+    L = inv.sum(axis=1)
+    return L * _PRESCALE if huge else L
 
 
 def complex_gradient(z: np.ndarray) -> np.ndarray:

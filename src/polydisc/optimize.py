@@ -337,15 +337,31 @@ def _hessian_f(z):
 
 _PAIR_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
+# The stop rule of one Newton working set, set out in _newton_kkt.
+_NEWTON_TOL = 1e-11
+_NEWTON_FLOOR = 1e-9
+_NEWTON_PATIENCE = 2
+_NEWTON_HOPELESS = 1e-3
+
 
 def _newton_kkt(z, act, lam_matrix, keep):
     """Active-set Newton solve of the stationarity system: at most 20
-    working sets, each solved until max |F| < 1e-11.
+    working sets of at most 100 steps each.
+
+    A working set converges once max |F| < _NEWTON_TOL, or at the roundoff
+    floor: max |F| < _NEWTON_FLOOR and the last step cut it by less than
+    10x or its line search failed, as a true Newton step from there lands
+    far below _NEWTON_TOL.  It fails when its line search fails above the
+    floor, after 100 steps, or as hopeless after _NEWTON_PATIENCE steps
+    without a 10x drop while max |F| >= _NEWTON_HOPELESS.  A converged set
+    adds the worst violated pair, drops the most negative multiplier or
+    ends the solve; a failed one ends it.
 
     ``lam_matrix`` seeds the first working set's multipliers.  Pairs in
     ``keep`` stay in the working set even with negative multipliers
     (prescribed graph edges are equality targets).  Returns
-    (z, converged, newton_iters).
+    (z, converged, newton_iters); after a failed set, z is the point that
+    set started from.
     """
     n = len(z)
     act = sorted(set(act))
@@ -367,11 +383,18 @@ def _newton_kkt(z, act, lam_matrix, keep):
         # over from the line search's accepted trial
         F, G = _kkt_F(zz, lm, a, b)
         converged = False
+        # max |F| before the last step, and at the last 10x drop
+        last = ref = math.inf
+        since = 0  # steps since the last 10x drop
         for _ in range(100):
             total_its += 1
             nf = np.abs(F).max()
-            if nf < 1e-11:
+            if nf < _NEWTON_TOL or _NEWTON_FLOOR > nf > 0.1 * last:
                 converged = True
+                break
+            if nf < 0.1 * ref:
+                ref, since = nf, 0
+            elif since >= _NEWTON_PATIENCE and nf >= _NEWTON_HOPELESS:
                 break
             H = _hessian_f(zz)
             s = (2.0 * lm[:, None] * _PAIR_SIGNS).ravel()
@@ -399,7 +422,9 @@ def _newton_kkt(z, act, lam_matrix, keep):
                     break
                 t *= 0.5
             if not accepted:
+                converged = nf < _NEWTON_FLOOR
                 break
+            last, since = nf, since + 1
         if not converged:
             return z, False, total_its
         # working-set adjustment: add the worst violated pair (the first in

@@ -207,9 +207,10 @@ class TestGradient:
             objective_gradient(PointConfig([[0, 0], [0, 0]]))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("scale", [1e160, 1e-160])
+    @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e308])
     def test_scales_past_squared_range(self, scale):
-        # |z_j - z_k|^2 overflows (1e320) or its reciprocal does (1e-320)
+        # |z_j - z_k|^2 overflows (1e320) or its reciprocal does (1e-320);
+        # at 1e308 the complex reciprocal of z_3 - z_2 overflows internally
         unit = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         grad = objective_gradient(PointConfig(unit * scale))
         expected = objective_gradient(PointConfig(unit)) / scale

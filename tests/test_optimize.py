@@ -9,6 +9,7 @@ from polydisc import (
     PointConfig,
     classify,
     congruent,
+    conjectured_even_graph,
     gauge_fix,
     maximize_free,
     maximize_with_graph,
@@ -118,6 +119,53 @@ class TestMaximizeFree:
                 by_round.setdefault(rnd, []).append(merit)
             for merits in by_round.values():
                 assert all(b >= a for a, b in zip(merits, merits[1:]))
+
+
+def _newton_calls(monkeypatch, run):
+    """((z, act, lam_matrix, keep), (z_out, converged, steps)) of every
+    _newton_kkt call while run() runs, in start order, and run()'s result."""
+    calls = []
+    newton = optimize._newton_kkt
+
+    def record(*args):
+        calls.append((args, newton(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(optimize, "_newton_kkt", record)
+    return calls, run()
+
+
+class TestNewtonStop:
+    def test_n18_run_has_no_stalled_start(self, monkeypatch):
+        # with only the 100-step cap ending a working set, starts 0, 1, 2 and
+        # 6 stalled and the run made 4090 residual calls
+        calls = []
+        kkt_F = optimize._kkt_F
+        monkeypatch.setattr(optimize, "_kkt_F",
+                            lambda *args: calls.append(None) or kkt_F(*args))
+        result = maximize_free(18, OptimizeOptions(seed=1, starts=16))
+        assert [s.termination for s in result.starts] == ["gradient-converged"] * 16
+        assert len(calls) < 1000
+
+    def test_hopeless_set_abandoned(self, monkeypatch):
+        # start 1's first working set: in the 100 steps it used to run, max |F|
+        # fell only from 140 to 44
+        calls, _ = _newton_calls(monkeypatch, lambda: maximize_with_graph(
+            8, conjectured_even_graph(8), OptimizeOptions(seed=2, starts=2)))
+        (z, *_), (z_out, ok, steps) = calls[1]
+        assert not ok and z_out is z
+        assert steps <= optimize._NEWTON_PATIENCE + 1
+
+    def test_floor_set_converges(self, monkeypatch):
+        # start 8: max |F| falls from 2e-5 to 1.6e-11 in one step, then used to
+        # crawl for 90 more steps until it passed 1e-11
+        calls, result = _newton_calls(
+            monkeypatch, lambda: maximize_free(10, OptimizeOptions(seed=0, starts=9)))
+        _, (_, ok, steps) = calls[8]
+        assert ok and steps <= 3
+        assert result.starts[8].termination == "gradient-converged"
+        assert result.starts[8].active_set == ((0, 4), (0, 5), (1, 5), (1, 6), (1, 7),
+                                               (2, 7), (2, 8), (3, 8), (4, 8), (4, 9))
 
 
 class TestMaximizeWithGraph:
@@ -234,37 +282,37 @@ class TestSweep:
 # Output of maximize_free(8, OptimizeOptions(seed=1, starts=16)) recorded
 # from the one-start-at-a-time optimizer (numpy 2.4, x86-64): per start
 # (log_delta_bar, iterations, termination, active_set), then the winner.
-# Eight starts tie bit for bit in value; the smallest residual of the
-# multiplier fit picks the winner among them (start 9, since that fit
-# solves the normal equations).
+# Six starts tie bit for bit in value; the smallest residual of the
+# multiplier fit picks the winner among them (start 7, since Newton working
+# sets end at the roundoff floor).
 PINNED_STARTS = [
     (0.2235209602607675, 778, 'gradient-converged',
      ((0, 3), (0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (3, 6), (3, 7))),
-    (0.2235209602607604, 830, 'gradient-converged',
+    (0.2235209602607675, 826, 'gradient-converged',
      ((0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (4, 7))),
-    (0.2235209602607675, 1187, 'gradient-converged',
+    (0.22352096016579637, 1162, 'gradient-converged',
      ((0, 3), (0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (3, 6), (3, 7))),
     (0.2235209602607533, 780, 'gradient-converged',
      ((0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (3, 6), (3, 7), (4, 7))),
-    (0.2235209602607675, 781, 'gradient-converged',
+    (0.22352096018531853, 754, 'gradient-converged',
      ((0, 4), (0, 5), (1, 5), (2, 5), (2, 6), (2, 7), (3, 7), (4, 7))),
-    (0.22352096026075685, 799, 'gradient-converged',
+    (0.2235209602607533, 795, 'gradient-converged',
      ((0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (4, 7))),
     (0.2235209602607675, 944, 'gradient-converged',
      ((0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (4, 7))),
     (0.2235209602607675, 776, 'gradient-converged',
      ((0, 3), (0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (3, 6), (3, 7))),
-    (0.2235209602607604, 1232, 'gradient-converged',
+    (0.2235209601353425, 1229, 'gradient-converged',
      ((0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (4, 7))),
-    (0.2235209602607675, 847, 'gradient-converged',
+    (0.2235209602607604, 842, 'gradient-converged',
      ((0, 3), (0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (3, 6), (3, 7))),
     (0.22352096026076396, 509, 'gradient-converged',
      ((0, 3), (0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (3, 6), (3, 7))),
-    (0.22352096026075685, 834, 'gradient-converged',
+    (0.2235209602607604, 823, 'gradient-converged',
      ((0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (4, 7))),
-    (0.22352096026076396, 991, 'gradient-converged',
+    (0.2235209602607533, 990, 'gradient-converged',
      ((0, 3), (0, 4), (0, 5), (1, 5), (2, 5), (2, 6), (3, 6), (3, 7))),
-    (0.2235209602607533, 994, 'gradient-converged',
+    (0.22352096013887035, 992, 'gradient-converged',
      ((0, 3), (0, 4), (0, 5), (1, 5), (2, 5), (2, 6), (2, 7), (3, 7))),
     (0.2235209602607675, 802, 'gradient-converged',
      ((0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (4, 7))),
@@ -272,14 +320,14 @@ PINNED_STARTS = [
      ((0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (3, 6), (3, 7), (4, 7))),
 ]
 PINNED_POINTS = [
-    [1.116634778148963, -0.16395781395912915],
-    [0.9728196477005332, 0.6153809592406435],
-    [0.1331143348539523, 0.8159893768530305],
-    [-0.7129119660797336, 0.64397702913292],
-    [-0.8830775203561945, -0.1300355026107275],
-    [-0.4858864436612297, -0.7528940639268801],
-    [0.09919202350555054, -1.183722921652127],
-    [0.6985464672998064, -0.772986305199261],
+    [0.9563928986440472, -0.030012860455682716],
+    [0.7634498071816305, 0.738638346929924],
+    [-0.08728613574668768, 0.8855978823455809],
+    [-0.9207027014313491, 0.6602857040637481],
+    [-1.0414461740178957, -0.12295929527309282],
+    [-0.6055593400699468, -0.7193787842250938],
+    [0.0056602990707224484, -1.1122411903163623],
+    [0.577764056117377, -0.6643264567295185],
 ]
 
 
