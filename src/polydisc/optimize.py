@@ -2,14 +2,15 @@
 
 Each start perturbs a regular n-gon and climbs an augmented-Lagrangian
 merit function in which every pair carries the inequality |z_i - z_j|^2 <= 4
-(equality targets on prescribed graph edges).  The multiplier estimates then
-seed an active-set Newton solve of the first-order system, which polishes
-the configuration to stationarity near machine precision.  Starts are
-independent and reproducible from (seed, start index).  All starts of a run
-climb together as one stack of arrays, in lockstep rounds: each round steps
-the starts still ascending at fixed multipliers, then updates their
-multipliers and penalties at once.  A start's output does not depend on the
-stack it ran in.
+(equality targets on prescribed graph edges), by modified Newton steps on
+the merit.  The multiplier estimates then seed an active-set Newton solve of
+the first-order system, which polishes the configuration to stationarity
+near machine precision.  One pair kernel gives both Newton methods their
+Hessian.  Starts are independent and reproducible from (seed, start index).
+All starts of a run climb together as one stack of arrays, in lockstep
+rounds: each round steps the starts still ascending at fixed multipliers,
+then updates their multipliers and penalties at once.  A start's output does
+not depend on the stack it ran in.
 """
 
 from __future__ import annotations
@@ -41,12 +42,11 @@ _STACK_ENTRIES = 1 << 14
 _MAX_ITERS = 2000
 
 # Per start: at most _ROUNDS ascent rounds of at most _ROUND_STEPS steps, the
-# round's initial step, the initial penalty and its growth factor, the KKT
-# residual below which a polished start counts as converged, and the
-# constraint violation that ends the ascent.
+# initial penalty and its growth factor, the KKT residual below which a
+# polished start counts as converged, and the constraint violation that ends
+# the ascent.
 _ROUNDS = 12
 _ROUND_STEPS = 150
-_STEP_INIT = 1e-2
 _PENALTY_INIT = 10.0
 _PENALTY_GROWTH = 10.0
 _TOL_GRADIENT = 1e-8
@@ -55,11 +55,16 @@ _TOL_CONSTRAINT = 1e-10
 # Largest sweep order; the number of admissible graphs grows exponentially.
 _SWEEP_MAX_N = 12
 
-# Line-search trials alpha * 2^-k, k < 50.  Scaling by a power of two is
-# exact, so scoring several trials per merit call accepts the same one as
-# trying them one at a time.
+# Line-search trials 2^-k, k < 50.  Scaling by a power of two is exact, so
+# scoring several trials per merit call accepts the same one as trying them
+# one at a time.
 _HALVINGS = np.ldexp(1.0, -np.arange(50))
 _TRIALS_PER_CALL = 3
+
+# The ascent's Newton step: the smallest curvature it divides by, and the
+# largest move of one point.
+_CURVATURE_FLOOR = 1e-8
+_STEP_CAP = 0.1
 
 
 @dataclass(frozen=True)
@@ -183,27 +188,87 @@ def _merit_value(z, lam, mu, eq):
     return f - np.add.reduce(pen, axis=(-2, -1)) / 2.0
 
 
-def _merit_gradient(z, lam, mu, eq):
+def _merit_derivatives(z, lam, mu, eq):
+    """The merit's gradient, as complex d/dx + i d/dy per point, and its
+    Hessian in x-then-y coordinates, from one pair pass.
+
+    A pair whose penalty is switched on (t = lam + mu g > 0, or an equality
+    target) adds mu grad g grad g^T + t hess g to the penalty's Hessian.
+    """
     diff, q = _pair_sq(z)
     g = q - 4.0
     grad_f = np.add.reduce(2.0 * diff / q, axis=-1)
-    t = lam + mu[..., None, None] * g
+    mu = mu[..., None, None]
+    t = lam + mu * g
     coef = np.maximum(0.0, t) if eq is None else np.where(eq, t, np.maximum(0.0, t))
-    return grad_f - np.add.reduce(2.0 * coef * diff, axis=-1)
+    on = t > 0.0 if eq is None else eq | (t > 0.0)
+    grad = grad_f - np.add.reduce(2.0 * coef * diff, axis=-1)
+    return grad, _pair_hessian(diff, q, coef, np.where(on, mu, 0.0))
 
 
-def _line_search(z, direction, phi, alpha, lam, mu, eq):
-    """Per row, the first trial step alpha 2^-k (k < 50) whose point
+def _pair_hessian(diff, q, c, m):
+    """Hessian in x-then-y coordinates, (..., 2n, 2n), of the sum over pairs
+    of log q - c g - m g^2 / 2 (g = q - 4) at fixed c and m, from the pair
+    arrays of _pair_sq and the (..., n, n) pair coefficients c and m.
+
+    Pair (i, j) with w = z_i - z_j contributes the 2 x 2 block
+    B = (2/q - 2c) I - 4 (1/q^2 + m) w w^T at (i, i) and (j, j), and -B at
+    (i, j) and (j, i).
+    """
+    n = diff.shape[-1]
+    a = 2.0 / q - 2.0 * c
+    a.reshape(-1, n * n)[:, ::n + 1] = 0.0  # no pair on the diagonal
+    b = 4.0 / (q * q) + 4.0 * m
+    wx, wy = diff.real, diff.imag
+    bxy = -b * wx * wy
+    blocks = np.stack([a - b * wx * wx, bxy, bxy, a - b * wy * wy], axis=-3)
+    H = -blocks
+    H.reshape(-1, n * n)[:, ::n + 1] = np.add.reduce(blocks, axis=-1).reshape(-1, n)
+    H = H.reshape(H.shape[:-3] + (2, 2, n, n)).swapaxes(-3, -2)
+    return H.reshape(H.shape[:-4] + (2 * n, 2 * n))
+
+
+def _newton_step(z, grad, hess):
+    """Modified Newton ascent step of each row of the (S, n) stack z on the
+    merit with gradient ``grad`` and Hessian ``hess``.
+
+    The step is V diag(1 / max(|w|, _CURVATURE_FLOOR)) V^T grad from the
+    eigendecomposition V diag(w) V^T of -hess, so every curvature direction
+    ascends.  The rigid motions (two translations and the rotation about
+    the centroid) leave the merit unchanged; they are first projected out of
+    -hess and put back as eigenvectors whose eigenvalue is the largest entry
+    of |hess|, so the step has no part along them.  The step is scaled down
+    so that no point moves more than _STEP_CAP.
+    """
+    S, n = z.shape
+    u = np.zeros((S, 2 * n, 3))
+    u[:, :n, 0] = u[:, n:, 1] = 1.0 / math.sqrt(n)
+    r = 1j * (z - z.mean(axis=1, keepdims=True))
+    r /= np.sqrt(np.add.reduce(r.real ** 2 + r.imag ** 2, axis=1))[:, None]
+    u[:, :n, 2], u[:, n:, 2] = r.real, r.imag
+    uu = u @ u.swapaxes(1, 2)
+    proj = np.eye(2 * n) - uu
+    a = -hess
+    a = proj @ a @ proj + np.abs(a).max(axis=(1, 2))[:, None, None] * uu
+    w, v = np.linalg.eigh(a)
+    y = v.swapaxes(1, 2) @ np.concatenate([grad.real, grad.imag], axis=1)[..., None]
+    p = (v @ (y / np.maximum(np.abs(w), _CURVATURE_FLOOR)[..., None]))[..., 0]
+    step = p[:, :n] + 1j * p[:, n:]
+    return step * np.minimum(1.0, _STEP_CAP / np.abs(step).max(axis=1))[:, None]
+
+
+def _line_search(z, direction, phi, lam, mu, eq):
+    """Per row, the first trial step 2^-k (k < 50) whose point
     z + step direction has a merit above phi.
 
-    Returns (found, z_new, phi_new, step): ``found`` is None when every row
-    found one, else the mask of the rows that did.
+    Returns (found, z_new, phi_new): ``found`` is None when every row found
+    one, else the mask of the rows that did.
     """
     todo = np.arange(len(z))
     sel = slice(None)  # rows of todo, without a gather while it holds all
     for first in range(0, len(_HALVINGS), _TRIALS_PER_CALL):
-        steps = alpha[sel, None] * _HALVINGS[first:first + _TRIALS_PER_CALL]
-        zt = z[sel, None] + steps[..., None] * direction[sel, None]
+        steps = _HALVINGS[first:first + _TRIALS_PER_CALL, None]
+        zt = z[sel, None] + steps * direction[sel, None]
         phi_t = _merit_value(zt, lam[sel, None], mu[sel, None],
                              None if eq is None else eq[sel, None])
         better = phi_t > phi[sel, None]
@@ -211,20 +276,18 @@ def _line_search(z, direction, phi, alpha, lam, mu, eq):
         hit = better.any(axis=1)
         if first == 0:
             if hit.all():
-                return None, zt[todo, j], phi_t[todo, j], steps[todo, j]
+                return None, zt[todo, j], phi_t[todo, j]
             found = np.zeros(len(z), dtype=bool)
             z_new = np.empty_like(z)
             phi_new = np.empty(len(z))
-            step = np.empty(len(z))
         rows, j = todo[hit], j[hit]
         found[rows] = True
         z_new[rows] = zt[hit, j]
         phi_new[rows] = phi_t[hit, j]
-        step[rows] = steps[hit, j]
         todo = sel = todo[~hit]
         if not todo.size:
             break
-    return found, z_new, phi_new, step
+    return found, z_new, phi_new
 
 
 def _al_phase(z, eq, traces=None):
@@ -232,12 +295,13 @@ def _al_phase(z, eq, traces=None):
     lockstep rounds.
 
     A round takes the starts still ascending through at most _ROUND_STEPS
-    normalized-gradient steps at fixed multipliers and penalty.  A start
+    modified Newton steps (_newton_step) at fixed multipliers and penalty,
+    each followed by a halving line search from the full step.  A start
     leaves the round when its gradient test passes or its line search fails,
     and that step counts as one of its iterations.  After the round, each of
-    its starts updates its multipliers and penalty, and leaves the ascent
-    once its constraint violation is below _TOL_CONSTRAINT or after _ROUNDS
-    rounds.
+    its starts updates its multipliers and penalty.  It leaves the ascent
+    after _ROUNDS rounds, or once its constraint violation is below
+    _TOL_CONSTRAINT after a round that it left before its last step.
 
     ``eq`` is None or the (S, n, n) mask of equality pairs; ``traces``, when
     given, holds one list per start that receives its accepted steps as
@@ -256,26 +320,24 @@ def _al_phase(z, eq, traces=None):
         live, zl, laml, mul = ids, z[ids], lam[ids], mu[ids]
         eql = None if eq is None else eq[ids]
         gtol = np.maximum(1e-9, 1e-3 / mul)
-        alpha = np.full(len(ids), _STEP_INIT)
         phi = _merit_value(zl, laml, mul, eql)
         for k in range(1, _ROUND_STEPS + 1):
-            d = _merit_gradient(zl, laml, mul, eql)
-            nd = np.maximum.reduce(np.abs(d), axis=1)
-            go = nd >= gtol
+            d, hess = _merit_derivatives(zl, laml, mul, eql)
+            go = np.maximum.reduce(np.abs(d), axis=1) >= gtol
             sub = slice(None) if go.all() else go
-            found, z_new, phi, taken = _line_search(
-                zl[sub], d[sub] / nd[sub, None], phi[sub], alpha[sub], laml[sub],
-                mul[sub], None if eql is None else eql[sub])
+            found, z_new, phi = _line_search(
+                zl[sub], _newton_step(zl[sub], d[sub], hess[sub]), phi[sub],
+                laml[sub], mul[sub], None if eql is None else eql[sub])
             if found is not None:
                 go[go] = found
-                z_new, phi, taken = z_new[found], phi[found], taken[found]
+                z_new, phi = z_new[found], phi[found]
             if not go.all():  # the rows that did not move end their round
                 stop = ~go
                 z[live[stop]] = zl[stop]
                 used[live[stop]] += k
                 live, laml, mul, gtol = live[go], laml[go], mul[go], gtol[go]
                 eql = None if eql is None else eql[go]
-            zl, alpha = z_new, np.minimum(taken * 2.0, 1.0)
+            zl = z_new
             if traces is not None:
                 for i, zi, p in zip(live.tolist(), zl, phi):
                     ldb = log_delta_bar(PointConfig.from_complex(_rescale(zi)))
@@ -295,7 +357,8 @@ def _al_phase(z, eq, traces=None):
         v = viol.max(axis=(1, 2))
         mu[ids[v > 0.25 * viol_prev[ids]]] *= _PENALTY_GROWTH
         viol_prev[ids] = v
-        ids = ids[~(v < _TOL_CONSTRAINT)]
+        # a start whose round used every step is not stationary yet
+        ids = ids[~((v < _TOL_CONSTRAINT) & ~np.isin(ids, live))]
         if not ids.size:
             break
     return z, lam, used
@@ -311,37 +374,12 @@ def _kkt_F(z, lam, a, b):
     return np.concatenate([_grad_real(z) - G @ lam, _constraint_gaps(z, a, b)]), G
 
 
-def _hessian_f(z):
-    n = len(z)
-    diff = z[:, None] - z[None, :]
-    np.fill_diagonal(diff, 1.0)
-    q = np.abs(diff) ** 2
-    iq = 1.0 / q
-    np.fill_diagonal(iq, 0.0)
-    wx, wy = diff.real, diff.imag
-    axx = 2 * iq - 4 * wx * wx * iq ** 2
-    axy = -4 * wx * wy * iq ** 2
-    ayy = 2 * iq - 4 * wy * wy * iq ** 2
-    H = np.zeros((2 * n, 2 * n))
-    H[:n, :n] = -axx
-    H[:n, n:] = -axy
-    H[n:, :n] = -axy
-    H[n:, n:] = -ayy
-    idx = np.arange(n)
-    H[idx, idx] = axx.sum(axis=1)
-    H[idx, n + idx] = axy.sum(axis=1)
-    H[n + idx, idx] = axy.sum(axis=1)
-    H[n + idx, n + idx] = ayy.sum(axis=1)
-    return H
-
-
-_PAIR_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
-
 # The stop rule of one Newton working set, set out in _newton_kkt.
 _NEWTON_TOL = 1e-11
 _NEWTON_FLOOR = 1e-9
 _NEWTON_PATIENCE = 2
 _NEWTON_HOPELESS = 1e-3
+_NEWTON_CRAWL = 10
 
 
 def _newton_kkt(z, act, lam_matrix, keep):
@@ -353,7 +391,8 @@ def _newton_kkt(z, act, lam_matrix, keep):
     10x or its line search failed, as a true Newton step from there lands
     far below _NEWTON_TOL.  It fails when its line search fails above the
     floor, after 100 steps, or as hopeless after _NEWTON_PATIENCE steps
-    without a 10x drop while max |F| >= _NEWTON_HOPELESS.  A converged set
+    without a 10x drop while max |F| >= _NEWTON_HOPELESS, or after
+    _NEWTON_CRAWL such steps at any max |F| above the floor.  A converged set
     adds the worst violated pair, drops the most negative multiplier or
     ends the solve; a failed one ends it.
 
@@ -370,11 +409,6 @@ def _newton_kkt(z, act, lam_matrix, keep):
     iu = np.triu(np.ones((n, n), dtype=bool), 1)
     total_its = 0
     for _ in range(20):
-        # pair c adds -2 lam_c [[1, -1], [-1, 1]] to the Hessian at rows and
-        # columns (a_c, b_c) of both coordinate blocks, in pair order
-        rows = np.stack([a, b, a, b], axis=1).ravel()
-        cols = np.stack([a, b, b, a], axis=1).ravel()
-        at = (np.concatenate([rows, n + rows]), np.concatenate([cols, n + cols]))
         if lam is None:
             lam = kkt._nnls_project_resolve(kkt._gap_gradients(z, a, b), a, b,
                                             complex_gradient(z), len(act) + 2)
@@ -394,11 +428,11 @@ def _newton_kkt(z, act, lam_matrix, keep):
                 break
             if nf < 0.1 * ref:
                 ref, since = nf, 0
-            elif since >= _NEWTON_PATIENCE and nf >= _NEWTON_HOPELESS:
+            elif since >= (_NEWTON_PATIENCE if nf >= _NEWTON_HOPELESS else _NEWTON_CRAWL):
                 break
-            H = _hessian_f(zz)
-            s = (2.0 * lm[:, None] * _PAIR_SIGNS).ravel()
-            np.add.at(H, at, -np.concatenate([s, s]))
+            c = np.zeros((n, n))
+            c[a, b] = c[b, a] = lm
+            H = _pair_hessian(*_pair_sq(zz), c, 0.0)
             m = len(act)
             J = np.zeros((2 * n + m, 2 * n + m))
             J[:2 * n, :2 * n] = H

@@ -18,7 +18,9 @@ from polydisc import (
 )
 from polydisc import optimize
 from polydisc.constructions import hexagon6, kite4, regular_ngon
-from polydisc.geometry import diameter, pairwise_distances
+from polydisc.diamgraph import maximizer_structure_report
+from polydisc.geometry import diameter, pairwise_distances, upper_pairs
+from polydisc.kkt import verify
 
 SQRT3 = math.sqrt(3.0)
 KITE_VALUE = 16.0 * (7.0 - 4.0 * SQRT3)
@@ -147,25 +149,75 @@ class TestNewtonStop:
         assert [s.termination for s in result.starts] == ["gradient-converged"] * 16
         assert len(calls) < 1000
 
-    def test_hopeless_set_abandoned(self, monkeypatch):
-        # start 1's first working set: in the 100 steps it used to run, max |F|
-        # fell only from 140 to 44
-        calls, _ = _newton_calls(monkeypatch, lambda: maximize_with_graph(
-            8, conjectured_even_graph(8), OptimizeOptions(seed=2, starts=2)))
-        (z, *_), (z_out, ok, steps) = calls[1]
+    def test_hopeless_set_abandoned(self):
+        # the polish run straight from start 1, without its ascent: max |F|
+        # falls only from 16 to 8 in two steps
+        graph = conjectured_even_graph(8)
+        z = optimize._start_config(8, 0, 1, graph.edges)
+        act = set(graph.edges) | set(upper_pairs(pairwise_distances(z) >= 2.0 - 1e-5))
+        z_out, ok, steps = optimize._newton_kkt(z, act, np.zeros((8, 8)), graph.edges)
         assert not ok and z_out is z
         assert steps <= optimize._NEWTON_PATIENCE + 1
 
+    def test_crawling_set_abandoned(self, monkeypatch):
+        # start 1's first working set: one step cuts max |F| from 8.8 to
+        # 1.2e-5, then it stays at 5.3e-6; it used to crawl for 100 steps
+        calls, _ = _newton_calls(monkeypatch, lambda: maximize_with_graph(
+            8, conjectured_even_graph(8), OptimizeOptions(seed=2, starts=2)))
+        args, (z_out, ok, steps) = calls[1]
+        assert not ok and z_out is args[0]
+        # the 10x step, then _NEWTON_CRAWL steps without one, then the test
+        assert steps <= optimize._NEWTON_CRAWL + 2
+        # replayed, the smallest residual of the set lies between the floor
+        # and the hopeless level, so the 2-step rule did not end it
+        residuals = []
+        kkt_F = optimize._kkt_F
+        monkeypatch.setattr(optimize, "_kkt_F", lambda *a: residuals.append(
+            np.abs(kkt_F(*a)[0]).max()) or kkt_F(*a))
+        optimize._newton_kkt(*args)
+        assert optimize._NEWTON_FLOOR < min(residuals) < optimize._NEWTON_HOPELESS
+
     def test_floor_set_converges(self, monkeypatch):
-        # start 8: max |F| falls from 2e-5 to 1.6e-11 in one step, then used to
-        # crawl for 90 more steps until it passed 1e-11
+        # start 8: max |F| is 4.5e-11 after the ascent and one step cuts it
+        # by less than 10x, so the set ends at the roundoff floor instead of
+        # crawling toward 1e-11
         calls, result = _newton_calls(
             monkeypatch, lambda: maximize_free(10, OptimizeOptions(seed=0, starts=9)))
         _, (_, ok, steps) = calls[8]
         assert ok and steps <= 3
         assert result.starts[8].termination == "gradient-converged"
-        assert result.starts[8].active_set == ((0, 4), (0, 5), (1, 5), (1, 6), (1, 7),
+        assert result.starts[8].active_set == ((0, 4), (0, 5), (0, 6), (1, 6), (2, 6),
                                                (2, 7), (2, 8), (3, 8), (4, 8), (4, 9))
+
+
+class TestNewtonAscent:
+    def test_round_that_used_every_step_keeps_ascending(self, monkeypatch):
+        # the regular hexagon at diameter 1 stays feasible through a
+        # one-step round, far from stationary; it used to leave the ascent
+        monkeypatch.setattr(optimize, "_ROUND_STEPS", 1)
+        z = 0.5 * np.exp(2j * np.pi * np.arange(6) / 6)
+        z_out, _, used = optimize._al_phase(z[None], None)
+        assert used[0] > 1
+        assert pairwise_distances(z_out[0]).max() > 1.5
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_n6_free_starts_converge(self, seed):
+        result = maximize_free(6, OptimizeOptions(seed=seed, starts=16))
+        assert [s.termination for s in result.starts] == ["gradient-converged"] * 16
+
+    def test_n10_iterations_per_start(self):
+        result = maximize_free(10, OptimizeOptions(seed=0, starts=16))
+        assert result.iterations / len(result.starts) <= 150
+
+    @pytest.mark.parametrize("n", [14, 16, 18, 20])
+    def test_free_winner_is_certified_above_regular(self, n):
+        result = maximize_free(n, OptimizeOptions(seed=0, starts=16))
+        assert result.termination == "gradient-converged"
+        report = verify(result.config)
+        assert report.stationarity_residual < 1e-8
+        assert report.min_multiplier >= 0.0
+        assert maximizer_structure_report(result.config).all_ok
+        assert result.delta_bar > 1.24
 
 
 class TestMaximizeWithGraph:
@@ -280,54 +332,53 @@ class TestSweep:
 
 
 # Output of maximize_free(8, OptimizeOptions(seed=1, starts=16)) recorded
-# from the one-start-at-a-time optimizer (numpy 2.4, x86-64): per start
+# from the Newton-step ascent (numpy 2.4, x86-64): per start
 # (log_delta_bar, iterations, termination, active_set), then the winner.
-# Six starts tie bit for bit in value; the smallest residual of the
-# multiplier fit picks the winner among them (start 7, since Newton working
-# sets end at the roundoff floor).
+# Starts 7, 8 and 12 tie bit for bit in value; the smallest residual of the
+# multiplier fit picks the winner among them (start 7).
 PINNED_STARTS = [
-    (0.2235209602607675, 778, 'gradient-converged',
+    (0.22352096006990152, 30, 'gradient-converged',
      ((0, 3), (0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (3, 6), (3, 7))),
-    (0.2235209602607675, 826, 'gradient-converged',
+    (0.22352096006697053, 30, 'gradient-converged',
      ((0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (4, 7))),
-    (0.22352096016579637, 1162, 'gradient-converged',
-     ((0, 3), (0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (3, 6), (3, 7))),
-    (0.2235209602607533, 780, 'gradient-converged',
+    (0.22352096026075685, 31, 'gradient-converged',
+     ((0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (4, 7))),
+    (0.2235209602607604, 36, 'gradient-converged',
      ((0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (3, 6), (3, 7), (4, 7))),
-    (0.22352096018531853, 754, 'gradient-converged',
-     ((0, 4), (0, 5), (1, 5), (2, 5), (2, 6), (2, 7), (3, 7), (4, 7))),
-    (0.2235209602607533, 795, 'gradient-converged',
-     ((0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (4, 7))),
-    (0.2235209602607675, 944, 'gradient-converged',
-     ((0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (4, 7))),
-    (0.2235209602607675, 776, 'gradient-converged',
-     ((0, 3), (0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (3, 6), (3, 7))),
-    (0.2235209601353425, 1229, 'gradient-converged',
-     ((0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (4, 7))),
-    (0.2235209602607604, 842, 'gradient-converged',
-     ((0, 3), (0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (3, 6), (3, 7))),
-    (0.22352096026076396, 509, 'gradient-converged',
-     ((0, 3), (0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (3, 6), (3, 7))),
-    (0.2235209602607604, 823, 'gradient-converged',
-     ((0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (4, 7))),
-    (0.2235209602607533, 990, 'gradient-converged',
-     ((0, 3), (0, 4), (0, 5), (1, 5), (2, 5), (2, 6), (3, 6), (3, 7))),
-    (0.22352096013887035, 992, 'gradient-converged',
+    (0.22352096006688882, 32, 'gradient-converged',
      ((0, 3), (0, 4), (0, 5), (1, 5), (2, 5), (2, 6), (2, 7), (3, 7))),
-    (0.2235209602607675, 802, 'gradient-converged',
+    (0.2235209600670558, 32, 'gradient-converged',
      ((0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (4, 7))),
-    (0.2235209602607675, 790, 'gradient-converged',
+    (0.22352096026075685, 38, 'gradient-converged',
      ((0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (3, 6), (3, 7), (4, 7))),
+    (0.2235209602607675, 35, 'gradient-converged',
+     ((0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (4, 7))),
+    (0.2235209602607675, 35, 'gradient-converged',
+     ((0, 3), (0, 4), (0, 5), (1, 5), (1, 6), (2, 6), (3, 6), (3, 7))),
+    (0.22352096006725475, 30, 'gradient-converged',
+     ((0, 3), (0, 4), (0, 5), (1, 5), (2, 5), (2, 6), (3, 6), (3, 7))),
+    (0.2235209600670629, 31, 'gradient-converged',
+     ((0, 3), (0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (3, 6), (3, 7))),
+    (0.22352096026075685, 36, 'gradient-converged',
+     ((0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (4, 7))),
+    (0.2235209602607675, 39, 'gradient-converged',
+     ((0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (4, 7))),
+    (0.22352096026076396, 35, 'gradient-converged',
+     ((0, 3), (0, 4), (0, 5), (1, 5), (2, 5), (2, 6), (2, 7), (3, 7))),
+    (0.22352096026075685, 32, 'gradient-converged',
+     ((0, 3), (0, 4), (0, 5), (1, 5), (1, 6), (2, 6), (3, 6), (3, 7))),
+    (0.2235209602607462, 36, 'gradient-converged',
+     ((0, 3), (0, 4), (0, 5), (1, 5), (1, 6), (2, 6), (3, 6), (3, 7))),
 ]
 PINNED_POINTS = [
-    [0.9563928986440472, -0.030012860455682716],
-    [0.7634498071816305, 0.738638346929924],
-    [-0.08728613574668768, 0.8855978823455809],
-    [-0.9207027014313491, 0.6602857040637481],
-    [-1.0414461740178957, -0.12295929527309282],
-    [-0.6055593400699468, -0.7193787842250938],
-    [0.0056602990707224484, -1.1122411903163623],
-    [0.577764056117377, -0.6643264567295185],
+    [0.8878091118883074, -0.01894981117367343],
+    [0.6774925024916179, 0.8183766923191995],
+    [-0.10345904965458226, 0.9531594373530737],
+    [-0.7076063315683602, 0.5280481571367911],
+    [-1.1113764308445442, -0.07602139541620008],
+    [-0.6738027375673309, -0.6560727555066748],
+    [-0.0463874654120557, -1.046026105379778],
+    [0.7256031101415628, -0.8669108731553279],
 ]
 
 
