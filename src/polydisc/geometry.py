@@ -24,6 +24,12 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _HUGE = 2.0 ** 1000
 _PRESCALE = 2.0 ** -600
 
+# entries of one temporary block of an (n, n) pair array (4 MB of complex).
+# Pair kernels at large n run a block of rows at a time, so none holds more
+# than the arrays it returns plus one block: their peak memory then does not
+# hang on where the allocator finds room for a full-size temporary.
+_BLOCK_ENTRIES = 1 << 18
+
 
 def _exp(x: float) -> float:
     """exp(x), or inf past the float range."""
@@ -86,11 +92,21 @@ class EvalReport:
         return self.log_delta > _LOG_FLOAT_MAX
 
 
+def _row_blocks(n: int) -> list[slice]:
+    """Slices of the rows of an (n, n) pair array, _BLOCK_ENTRIES entries or
+    one row per block."""
+    rows = max(1, _BLOCK_ENTRIES // max(n, 1))
+    return [slice(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+
+
 def pairwise_distances(z: np.ndarray) -> np.ndarray:
     """Full (n, n) matrix of |z_i - z_j| with zeros on the diagonal."""
     z = np.asarray(z, dtype=complex)
+    d = np.empty((len(z), len(z)))
     with np.errstate(over="ignore"):  # differences past the float range are inf
-        return np.abs(z[:, None] - z[None, :])
+        for rows in _row_blocks(len(z)):
+            np.abs(z[rows, None] - z[None, :], out=d[rows])
+    return d
 
 
 def _distinct(d: np.ndarray) -> bool:
@@ -101,10 +117,10 @@ def _distinct(d: np.ndarray) -> bool:
 def _log_discriminant(d: np.ndarray) -> float:
     """Sum of the logs of the off-diagonal entries of the distance matrix d,
     -inf when one of them is zero."""
-    off = ~np.eye(len(d), dtype=bool)
-    if (d[off] == 0.0).any():
+    off = d[~np.eye(len(d), dtype=bool)]
+    if (off == 0.0).any():
         return -math.inf
-    return float(np.sum(np.log(d[off])))
+    return float(np.sum(np.log(off, out=off)))
 
 
 def discriminant(config: PointConfig) -> tuple[float, float]:
@@ -289,12 +305,15 @@ def stationarity_lhs(z: np.ndarray) -> np.ndarray:
     huge = np.maximum(np.abs(z.real), np.abs(z.imag)).max(initial=0.0) > _HUGE
     if huge:
         z = z * _PRESCALE
-    diff = z[None, :] - z[:, None]  # [k, j] = z_j - z_k
-    np.fill_diagonal(diff, 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):  # callers reject non-finite sums
-        inv = 1.0 / diff
-    np.fill_diagonal(inv, 0.0)
-    L = inv.sum(axis=1)
+    L = np.empty(len(z), dtype=complex)
+    for rows in _row_blocks(len(z)):
+        inv = z[None, :] - z[rows, None]  # [k, j] = z_j - z_k
+        k = np.arange(rows.start, rows.stop)
+        inv[k - rows.start, k] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):  # callers reject non-finite sums
+            np.divide(1.0, inv, out=inv)
+        inv[k - rows.start, k] = 0.0
+        L[rows] = inv.sum(axis=1)
     return L * _PRESCALE if huge else L
 
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, SingularConfigError
-from .geometry import (PointConfig, _distinct, pairwise_distances, stationarity_lhs,
-                       upper_pairs)
+from .geometry import (PointConfig, _distinct, _row_blocks, pairwise_distances,
+                       stationarity_lhs, upper_pairs)
 
 Pair = tuple[int, int]
 
@@ -57,7 +57,10 @@ def active_set(config: PointConfig, rel_tol: float = 1e-9) -> list[Pair]:
 
 def _active_pairs(d: np.ndarray, rel_tol: float) -> list[Pair]:
     """active_set from the configuration's distance matrix."""
-    return upper_pairs(d ** 2 >= 4.0 * (1.0 - rel_tol))
+    active = np.empty(d.shape, dtype=bool)
+    for rows in _row_blocks(len(d)):
+        np.greater_equal(d[rows] ** 2, 4.0 * (1.0 - rel_tol), out=active[rows])
+    return upper_pairs(active)
 
 
 def _pair_arrays(pairs):

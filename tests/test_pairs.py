@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from polydisc import PointConfig, active_set, extract, regular_ngon
+from polydisc import PointConfig, active_set, extract, geometry, regular_ngon
 from polydisc.geometry import normalize_to_diameter, pairwise_distances, upper_pairs
 
 
@@ -57,3 +57,23 @@ def test_upper_pairs_ignores_diagonal_and_lower_triangle():
     assert upper_pairs(mask) == [(0, 1), (1, 2)]
     assert upper_pairs(np.zeros((0, 0), dtype=bool)) == []
     assert all(type(i) is int for pair in upper_pairs(mask) for i in pair)
+
+
+@pytest.mark.parametrize("entries", [1, 50, 1 << 18])
+def test_row_blocks_match_one_pass(monkeypatch, entries):
+    # blocks of one row, of a few rows with a short last block, and one block
+    # give the same bits as the whole (n, n) array at once
+    monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", entries)
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=23) + 1j * rng.normal(size=23)
+    assert np.array_equal(pairwise_distances(z), np.abs(z[:, None] - z[None, :]))
+    diff = z[None, :] - z[:, None]
+    np.fill_diagonal(diff, 1.0)
+    inv = 1.0 / diff
+    np.fill_diagonal(inv, 0.0)
+    assert geometry.stationarity_lhs(z).tobytes() == inv.sum(axis=1).tobytes()
+    config = normalize_to_diameter(PointConfig.from_complex(z))
+    d2 = pairwise_distances(config.as_complex) ** 2
+    assert active_set(config, 1e-3) == loop_pairs(d2, 4.0 * (1.0 - 1e-3))
+    assert [s.stop - s.start for s in geometry._row_blocks(23)] == (
+        [1] * 23 if entries == 1 else [2] * 11 + [1] if entries == 50 else [23])
