@@ -42,13 +42,16 @@ _STACK_ENTRIES = 1 << 14
 _MAX_ITERS = 2000
 
 # Per start: at most _ROUNDS ascent rounds of at most _ROUND_STEPS steps, the
-# initial penalty and its growth factor, the KKT residual below which a
-# polished start counts as converged, and the constraint violation that ends
-# the ascent.
+# initial penalty, its growth factor and the largest penalty a round runs at,
+# the KKT residual below which a polished start counts as converged, and the
+# constraint violation that ends the ascent.  On the graph targets that
+# reach _PENALTY_MAX the violation falls only as mu^-1/2: no finite
+# multiplier exists, and more penalty buys nothing.
 _ROUNDS = 12
 _ROUND_STEPS = 150
 _PENALTY_INIT = 10.0
 _PENALTY_GROWTH = 10.0
+_PENALTY_MAX = 1e8
 _TOL_GRADIENT = 1e-8
 _TOL_CONSTRAINT = 1e-10
 
@@ -138,10 +141,11 @@ def _edge_stretching_permutation(n, edges, slots, rng):
     Hill-climbs total edge length over vertex-slot swaps from a random
     assignment; deterministic given the generator state.
     """
-    perm = rng.permutation(n)
+    perm = rng.permutation(n).tolist()
+    dist = np.abs(slots[:, None] - slots[None, :]).tolist()
 
     def edge_len(p):
-        return sum(abs(slots[p[a]] - slots[p[b]]) for a, b in edges)
+        return sum(dist[p[a]][p[b]] for a, b in edges)
 
     best = edge_len(perm)
     improved = True
@@ -300,8 +304,11 @@ def _al_phase(z, eq, traces=None):
     leaves the round when its gradient test passes or its line search fails,
     and that step counts as one of its iterations.  After the round, each of
     its starts updates its multipliers and penalty.  It leaves the ascent
-    after _ROUNDS rounds, or once its constraint violation is below
-    _TOL_CONSTRAINT after a round that it left before its last step.
+    after _ROUNDS rounds, once its constraint violation is below
+    _TOL_CONSTRAINT after a round that it left before its last step, or once
+    its penalty exceeds _PENALTY_MAX, so that its last round runs at
+    _PENALTY_MAX.  Once every start of a round passes its gradient test, the
+    round ends without computing a step.
 
     ``eq`` is None or the (S, n, n) mask of equality pairs; ``traces``, when
     given, holds one list per start that receives its accepted steps as
@@ -324,10 +331,13 @@ def _al_phase(z, eq, traces=None):
         for k in range(1, _ROUND_STEPS + 1):
             d, hess = _merit_derivatives(zl, laml, mul, eql)
             go = np.maximum.reduce(np.abs(d), axis=1) >= gtol
-            sub = slice(None) if go.all() else go
-            found, z_new, phi = _line_search(
-                zl[sub], _newton_step(zl[sub], d[sub], hess[sub]), phi[sub],
-                laml[sub], mul[sub], None if eql is None else eql[sub])
+            if not go.any():  # every row passed its gradient test: no step
+                found, z_new = None, zl[go]
+            else:
+                sub = slice(None) if go.all() else go
+                found, z_new, phi = _line_search(
+                    zl[sub], _newton_step(zl[sub], d[sub], hess[sub]), phi[sub],
+                    laml[sub], mul[sub], None if eql is None else eql[sub])
             if found is not None:
                 go[go] = found
                 z_new, phi = z_new[found], phi[found]
@@ -357,8 +367,10 @@ def _al_phase(z, eq, traces=None):
         v = viol.max(axis=(1, 2))
         mu[ids[v > 0.25 * viol_prev[ids]]] *= _PENALTY_GROWTH
         viol_prev[ids] = v
-        # a start whose round used every step is not stationary yet
-        ids = ids[~((v < _TOL_CONSTRAINT) & ~np.isin(ids, live))]
+        # a start whose round used every step is not stationary yet; one
+        # whose penalty passed _PENALTY_MAX leaves the ascent
+        done = (v < _TOL_CONSTRAINT) & ~np.isin(ids, live)
+        ids = ids[~(done | (mu[ids] > _PENALTY_MAX))]
         if not ids.size:
             break
     return z, lam, used
@@ -380,6 +392,7 @@ _NEWTON_FLOOR = 1e-9
 _NEWTON_PATIENCE = 2
 _NEWTON_HOPELESS = 1e-3
 _NEWTON_CRAWL = 10
+_NEWTON_TRIALS = 16
 
 
 def _newton_kkt(z, act, lam_matrix, keep):
@@ -389,12 +402,14 @@ def _newton_kkt(z, act, lam_matrix, keep):
     A working set converges once max |F| < _NEWTON_TOL, or at the roundoff
     floor: max |F| < _NEWTON_FLOOR and the last step cut it by less than
     10x or its line search failed, as a true Newton step from there lands
-    far below _NEWTON_TOL.  It fails when its line search fails above the
-    floor, after 100 steps, or as hopeless after _NEWTON_PATIENCE steps
-    without a 10x drop while max |F| >= _NEWTON_HOPELESS, or after
-    _NEWTON_CRAWL such steps at any max |F| above the floor.  A converged set
-    adds the worst violated pair, drops the most negative multiplier or
-    ends the solve; a failed one ends it.
+    far below _NEWTON_TOL.  The line search tries the steps 2^-k, at most
+    45 of them at the floor and _NEWTON_TRIALS above it.  A set fails when
+    its line search fails above the floor, after 100 steps, or as hopeless
+    after _NEWTON_PATIENCE steps without a 10x drop while
+    max |F| >= _NEWTON_HOPELESS, or after _NEWTON_CRAWL such steps at any
+    max |F| above the floor.  A converged set adds the worst violated pair,
+    drops the most negative multiplier or ends the solve; a failed one ends
+    it.
 
     ``lam_matrix`` seeds the first working set's multipliers.  Pairs in
     ``keep`` stay in the working set even with negative multipliers
@@ -441,7 +456,7 @@ def _newton_kkt(z, act, lam_matrix, keep):
             du, *_ = np.linalg.lstsq(J, -F, rcond=None)
             t = 1.0
             accepted = False
-            for _ in range(45):
+            for _ in range(45 if nf < _NEWTON_FLOOR else _NEWTON_TRIALS):
                 zt = zz + (du[:n] + 1j * du[n:2 * n]) * t
                 lt = lm + du[2 * n:] * t
                 dm = pairwise_distances(zt)

@@ -123,6 +123,19 @@ class TestMaximizeFree:
                 assert all(b >= a for a, b in zip(merits, merits[1:]))
 
 
+def _ascent_penalties(monkeypatch):
+    """The penalty of every row of every ascent step taken from now on."""
+    penalties = []
+    derivatives = optimize._merit_derivatives
+
+    def record(z, lam, mu, eq):
+        penalties.extend(mu.tolist())
+        return derivatives(z, lam, mu, eq)
+
+    monkeypatch.setattr(optimize, "_merit_derivatives", record)
+    return penalties
+
+
 def _newton_calls(monkeypatch, run):
     """((z, act, lam_matrix, keep), (z_out, converged, steps)) of every
     _newton_kkt call while run() runs, in start order, and run()'s result."""
@@ -145,9 +158,31 @@ class TestNewtonStop:
         kkt_F = optimize._kkt_F
         monkeypatch.setattr(optimize, "_kkt_F",
                             lambda *args: calls.append(None) or kkt_F(*args))
+        penalties = _ascent_penalties(monkeypatch)
         result = maximize_free(18, OptimizeOptions(seed=1, starts=16))
         assert [s.termination for s in result.starts] == ["gradient-converged"] * 16
         assert len(calls) < 1000
+        # no start comes near the penalty cap, so the cap changes no step
+        assert max(penalties) < optimize._PENALTY_MAX
+
+    def test_line_search_above_floor_is_capped(self, monkeypatch):
+        # start 3's first working set: max |F| = 1.06e-4, and no step 2^-k
+        # with k < 16 cuts it enough, so the set fails after one step; with
+        # 45 trials it took 11 steps
+        calls, _ = _newton_calls(monkeypatch, lambda: maximize_with_graph(
+            8, conjectured_even_graph(8), OptimizeOptions(seed=0, starts=4)))
+        args, (z_out, ok, _) = calls[3]
+        assert not ok and z_out is args[0]
+        # replayed: the residuals of each step, split at its Hessian
+        steps = [[]]
+        kkt_F, pair_hessian = optimize._kkt_F, optimize._pair_hessian
+        monkeypatch.setattr(optimize, "_kkt_F", lambda *a: steps[-1].append(
+            np.abs(kkt_F(*a)[0]).max()) or kkt_F(*a))
+        monkeypatch.setattr(optimize, "_pair_hessian",
+                            lambda *a: steps.append([]) or pair_hessian(*a))
+        optimize._newton_kkt(*args)
+        assert min(min(r) for r in steps) >= optimize._NEWTON_FLOOR
+        assert max(len(r) for r in steps[1:]) == optimize._NEWTON_TRIALS
 
     def test_hopeless_set_abandoned(self):
         # the polish run straight from start 1, without its ascent: max |F|
@@ -160,13 +195,14 @@ class TestNewtonStop:
         assert steps <= optimize._NEWTON_PATIENCE + 1
 
     def test_crawling_set_abandoned(self, monkeypatch):
-        # start 1's first working set: one step cuts max |F| from 8.8 to
-        # 1.2e-5, then it stays at 5.3e-6; it used to crawl for 100 steps
+        # start 3's first working set: each step cuts max |F| = 5.8e-5 by
+        # at most 0.03 %, after 13-16 line-search trials; with 45 trials and
+        # only the 100-step cap it crawls for 100 steps
         calls, _ = _newton_calls(monkeypatch, lambda: maximize_with_graph(
-            8, conjectured_even_graph(8), OptimizeOptions(seed=2, starts=2)))
-        args, (z_out, ok, steps) = calls[1]
+            10, conjectured_even_graph(10), OptimizeOptions(seed=0, starts=4)))
+        args, (z_out, ok, steps) = calls[3]
         assert not ok and z_out is args[0]
-        # the 10x step, then _NEWTON_CRAWL steps without one, then the test
+        # at most a 10x step, then _NEWTON_CRAWL steps without one, then the test
         assert steps <= optimize._NEWTON_CRAWL + 2
         # replayed, the smallest residual of the set lies between the floor
         # and the hopeless level, so the 2-step rule did not end it
@@ -199,6 +235,16 @@ class TestNewtonAscent:
         z_out, _, used = optimize._al_phase(z[None], None)
         assert used[0] > 1
         assert pairwise_distances(z_out[0]).max() > 1.5
+
+    def test_infeasible_start_stops_at_penalty_cap(self, monkeypatch):
+        # start 2 cannot reach the graph: its violation falls only as
+        # mu^-1/2, and its rounds used to go on up to mu = 1e11, 380
+        # iterations in all
+        penalties = _ascent_penalties(monkeypatch)
+        result = maximize_with_graph(8, conjectured_even_graph(8),
+                                     OptimizeOptions(seed=0, starts=3))
+        assert max(penalties) == optimize._PENALTY_MAX
+        assert result.starts[2].termination == "stalled"
 
     @pytest.mark.parametrize("seed", range(6))
     def test_n6_free_starts_converge(self, seed):
