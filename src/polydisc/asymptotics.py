@@ -55,19 +55,6 @@ def zeta3(terms: int = 20000) -> float:
 # junction constants of the bent polygon
 # ---------------------------------------------------------------------------
 
-def _closed_c1() -> float:
-    return math.exp(0.25 - math.pi * SQRT3 / 24.0 - math.log(3.0) / 8.0)
-
-
-def _closed_c2() -> float:
-    return math.exp(-0.25 - math.log(2.0) / 2.0 - math.pi * SQRT3 / 24.0
-                    + 5.0 * math.log(3.0) / 8.0)
-
-
-def _closed_c3() -> float:
-    return SQRT3 / 2.0
-
-
 def _closed_cstar() -> float:
     return 3.0 ** 2.25 / 8.0 * math.exp((math.pi ** 2 - 2.0 * SQRT3 * math.pi) / 8.0)
 
@@ -313,7 +300,7 @@ def constant(name: str) -> ConstantReport:
     """Closed form and an independent route for one named constant."""
     if name in ("C1", "C2", "C3"):
         regime = int(name[1])
-        closed = {"C1": _closed_c1, "C2": _closed_c2, "C3": _closed_c3}[name]()
+        closed = math.exp(-regime_integral_closed(regime))
         alt = math.exp(-regime_integral(regime))
         return ConstantReport(name, closed, alt,
                               alt_route="exp(-quadrature of the junction integral)",

@@ -109,22 +109,28 @@ def dihedral_delta(m: int, params: DihedralParams, tol: float = 1e-9) -> float:
     if res.size and res.max() > tol:
         raise InfeasibleError(f"chain constraints violated by {res.max():.3e}",
                               violation=float(res.max()))
-    c = params.chain()  # z_0 .. z_m
+    return 6.0 * _chain_log_sum(params.chain(), math.log)
+
+
+def _chain_log_sum(c, log) -> float:
+    """log Delta / 6 of the 6m-point set generated by the chain c = z_0 .. z_m,
+    with ``log`` the logarithm of the chain's number type."""
+    m = len(c) - 1
     z0, z1 = c[0], c[1]
-    total = m * math.log(3.0)
-    total += math.log(abs(z0)) + math.log(abs(z1)) + math.log(abs(z0 ** 3 - z1 ** 3))
+    total = m * log(3.0)
+    total += log(abs(z0)) + log(abs(z1)) + log(abs(z0 ** 3 - z1 ** 3))
     for k in range(2, m + 1):
         zk = c[k]
         zkc = zk.conjugate()
-        total += 2 * math.log(abs(zk))
-        total += 2 * math.log(abs(z0 ** 3 - zk ** 3))
-        total += 2 * math.log(abs(z1 ** 3 - zk ** 3))
-        total += math.log(abs(zk ** 3 - zkc ** 3))
+        total += 2 * log(abs(zk))
+        total += 2 * log(abs(z0 ** 3 - zk ** 3))
+        total += 2 * log(abs(z1 ** 3 - zk ** 3))
+        total += log(abs(zk ** 3 - zkc ** 3))
         for j in range(2, k):
             zj = c[j]
-            total += 2 * math.log(abs(zk ** 3 - zj ** 3))
-            total += 2 * math.log(abs(zk ** 3 - zj.conjugate() ** 3))
-    return 6.0 * total
+            total += 2 * log(abs(zk ** 3 - zj ** 3))
+            total += 2 * log(abs(zk ** 3 - zj.conjugate() ** 3))
+    return total
 
 
 def dihedral_params_for_angle(alpha: float) -> DihedralParams:
@@ -169,14 +175,7 @@ def dodecagon12() -> tuple[float, PointConfig]:
 
         def logdelta(al):
             z1 = (4 * mp.sin(mp.pi / 3 + al) - 2) / sqrt3
-            z0 = z1 - 2
-            z2 = z1 - 2 * mp.e ** (1j * al)
-            t = 2 * mp.log(3)
-            t += mp.log(abs(z0)) + mp.log(abs(z1)) + mp.log(abs(z0 ** 3 - z1 ** 3))
-            t += 2 * mp.log(abs(z2)) + 2 * mp.log(abs(z0 ** 3 - z2 ** 3))
-            t += 2 * mp.log(abs(z1 ** 3 - z2 ** 3))
-            t += mp.log(abs(z2 ** 3 - mp.conj(z2) ** 3))
-            return 6 * t
+            return 6 * _chain_log_sum([z1 - 2, z1, z1 - 2 * mp.e ** (1j * al)], mp.log)
 
         deriv = lambda al: mp.diff(logdelta, al)
         root = mp.findroot(deriv, mp.mpf(alpha0))

@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidConfigError, SingularConfigError
-from .geometry import (PointConfig, _convex_position, _distinct, pairwise_distances,
-                       upper_pairs)
+from .geometry import (PointConfig, _convex_position, _distinct, _row_blocks,
+                       pairwise_distances, upper_pairs)
 
 Edge = tuple[int, int]
 
@@ -221,57 +221,42 @@ def _classify(graph: DiameterGraph, components: int, blocks: list[list[Edge]]) -
     return GraphClass(GraphKind.OTHER)
 
 
-def _on_segment(p, q, r, eps):
-    # r collinear with pq assumed; check r within the bounding box of pq
-    return (min(p[0], q[0]) - eps <= r[0] <= max(p[0], q[0]) + eps
-            and min(p[1], q[1]) - eps <= r[1] <= max(p[1], q[1]) + eps)
-
-
-def _segments_meet_once(p1, p2, p3, p4, d1, d2, d3, d4, eps_len):
-    """True iff segments p1p2 and p3p4 intersect in exactly one point.
-
-    d1, d2 are the orientation signs of p1, p2 against the line p3p4, and d3,
-    d4 those of p3, p4 against p1p2; at least one of them is zero (a proper
-    crossing, with four nonzero signs, is decided by the caller).
-    """
-    if d1 == d2 == d3 == d4 == 0:
-        # collinear: meeting at a single point (shared endpoint) is fine,
-        # positive-length overlap and disjointness are not
-        axis = 0 if abs(p2[0] - p1[0]) >= abs(p2[1] - p1[1]) else 1
-        a1, a2 = sorted((p1[axis], p2[axis]))
-        b1, b2 = sorted((p3[axis], p4[axis]))
-        lo, hi = max(a1, b1), min(a2, b2)
-        return abs(hi - lo) <= eps_len
-    # touching configurations: exactly-one-point contact
-    if d1 == 0 and _on_segment(p3, p4, p1, eps_len):
-        return True
-    if d2 == 0 and _on_segment(p3, p4, p2, eps_len):
-        return True
-    if d3 == 0 and _on_segment(p1, p2, p3, eps_len):
-        return True
-    if d4 == 0 and _on_segment(p1, p2, p4, eps_len):
-        return True
-    return False
-
-
-# entries of one temporary array in the intersection screen (2 MB of float64)
-_BLOCK_ENTRIES = 1 << 18
-
-
 def _orientation_signs(pts: np.ndarray, a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
     """(m, n) int8 side of point j against edge a[k] -> b[k]: +1 where the
     cross product (b - a) x (p_j - a) exceeds eps, -1 where it is below -eps,
     else 0."""
     x, y = pts[:, 0], pts[:, 1]
     signs = np.empty((len(a), len(pts)), dtype=np.int8)
-    rows = max(1, _BLOCK_ENTRIES // len(pts))
-    for lo in range(0, len(a), rows):
-        p, q = a[lo:lo + rows, None], b[lo:lo + rows, None]
+    for rows in _row_blocks(len(a), len(pts)):
+        p, q = a[rows, None], b[rows, None]
         v = (x[q] - x[p]) * (y - y[p]) - (y[q] - y[p]) * (x - x[p])
-        block = signs[lo:lo + rows]
+        block = signs[rows]
         block[...] = v > eps
         block -= v < -eps
     return signs
+
+
+def _degenerate_meet_once(p1, p2, p3, p4, d1, d2, d3, d4, collinear, eps_len):
+    """Per pair of segments p1p2 and p3p4 (rows of (k, 2) arrays) with a zero
+    orientation sign: True where they meet in exactly one point.
+
+    d1, d2 are the signs of p1, p2 against the line p3p4, and d3, d4 those of
+    p3, p4 against p1p2; ``collinear`` marks the pairs whose four signs are
+    zero.  Such a pair may overlap along p1p2's dominant axis by at most
+    eps_len, a single shared point; positive-length overlap and disjointness
+    both fail.  Any other pair needs an end of sign zero inside the other
+    segment's bounding box, grown by eps_len on every side.
+    """
+    def in_box(p, q, r):
+        return ((np.minimum(p, q) - eps_len <= r) & (r <= np.maximum(p, q) + eps_len)).all(axis=1)
+
+    contact = (((d1 == 0) & in_box(p3, p4, p1)) | ((d2 == 0) & in_box(p3, p4, p2))
+               | ((d3 == 0) & in_box(p1, p2, p3)) | ((d4 == 0) & in_box(p1, p2, p4)))
+    on_y = np.abs(p2[:, 0] - p1[:, 0]) < np.abs(p2[:, 1] - p1[:, 1])
+    u1, u2, u3, u4 = (np.where(on_y, p[:, 1], p[:, 0]) for p in (p1, p2, p3, p4))
+    overlap = (np.minimum(np.maximum(u1, u2), np.maximum(u3, u4))
+               - np.maximum(np.minimum(u1, u2), np.minimum(u3, u4)))
+    return np.where(collinear, np.abs(overlap) <= eps_len, contact)
 
 
 def check_pairwise_intersection(config: PointConfig, graph: DiameterGraph) -> bool:
@@ -297,28 +282,28 @@ def _pairwise_intersecting(pts: np.ndarray, d: np.ndarray, graph: DiameterGraph)
     signs = _orientation_signs(pts, a, b, 1e-9 * scale ** 2)
     # edge e = (a[e], b[e]) against every later edge f, a block of e at a time:
     # d1, d2 are the signs of e's ends against f, d3, d4 of f's ends against e
-    rows = max(1, _BLOCK_ENTRIES // m)
-    for lo in range(0, m - 1, rows):
-        hi = min(lo + rows, m)
-        d1 = signs[lo:, a[lo:hi]].T
-        d2 = signs[lo:, b[lo:hi]].T
-        d3 = signs[lo:hi, a[lo:]]
-        d4 = signs[lo:hi, b[lo:]]
-        later = np.arange(lo, m) > np.arange(lo, hi)[:, None]
+    for rows in _row_blocks(m - 1, m):
+        lo = rows.start
+        d1 = signs[lo:, a[rows]].T
+        d2 = signs[lo:, b[rows]].T
+        d3 = signs[rows, a[lo:]]
+        d4 = signs[rows, b[lo:]]
+        later = np.arange(lo, m) > np.arange(lo, rows.stop)[:, None]
         zero_sign = later & ((d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0))
         if (later & ~zero_sign & ((d1 == d2) | (d3 == d4))).any():
             return False
         # edges with a common endpoint meet there only, unless they are
         # collinear: that point's sign against the other edge is exactly 0,
         # and it lies on the other edge
-        ea, eb, fa, fb = a[lo:hi, None], b[lo:hi, None], a[lo:], b[lo:]
+        ea, eb, fa, fb = a[rows, None], b[rows, None], a[lo:], b[lo:]
         shared = (ea == fa) | (ea == fb) | (eb == fa) | (eb == fb)
         collinear = (d1 == 0) & (d2 == 0) & (d3 == 0) & (d4 == 0)
-        for i, j in zip(*np.nonzero(zero_sign & (collinear | ~shared))):
-            e, f = lo + i, lo + j
-            if not _segments_meet_once(pts[a[e]], pts[b[e]], pts[a[f]], pts[b[f]],
-                                       d1[i, j], d2[i, j], d3[i, j], d4[i, j], eps_len):
-                return False
+        i, j = np.nonzero(zero_sign & (collinear | ~shared))
+        e, f = lo + i, lo + j
+        if not _degenerate_meet_once(pts[a[e]], pts[b[e]], pts[a[f]], pts[b[f]],
+                                     d1[i, j], d2[i, j], d3[i, j], d4[i, j],
+                                     collinear[i, j], eps_len).all():
+            return False
     return True
 
 

@@ -24,7 +24,7 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _HUGE = 2.0 ** 1000
 _PRESCALE = 2.0 ** -600
 
-# entries of one temporary block of an (n, n) pair array (4 MB of complex).
+# entries of one temporary block of a pair array (4 MB of complex).
 # Pair kernels at large n run a block of rows at a time, so none holds more
 # than the arrays it returns plus one block: their peak memory then does not
 # hang on where the allocator finds room for a full-size temporary.
@@ -92,11 +92,11 @@ class EvalReport:
         return self.log_delta > _LOG_FLOAT_MAX
 
 
-def _row_blocks(n: int) -> list[slice]:
-    """Slices of the rows of an (n, n) pair array, _BLOCK_ENTRIES entries or
-    one row per block."""
-    rows = max(1, _BLOCK_ENTRIES // max(n, 1))
-    return [slice(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+def _row_blocks(rows: int, cols: int | None = None) -> list[slice]:
+    """Slices of the rows of a (rows, cols) pair array, square by default,
+    _BLOCK_ENTRIES entries or one row per block."""
+    step = max(1, _BLOCK_ENTRIES // max(rows if cols is None else cols, 1))
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
 def pairwise_distances(z: np.ndarray) -> np.ndarray:
@@ -136,8 +136,6 @@ def discriminant(config: PointConfig) -> tuple[float, float]:
     if config.n <= 1:
         return 1.0, 0.0
     log_delta = _log_discriminant(pairwise_distances(config.as_complex))
-    if log_delta == -math.inf:
-        return 0.0, -math.inf
     return _exp(log_delta), log_delta
 
 
@@ -181,14 +179,12 @@ def normalized_discriminant(config: PointConfig, rescale_to_diameter: bool = Tru
     n = config.n
     if n < 1:
         raise InvalidConfigError("normalized discriminant requires n >= 1")
-    rescale = rescale_to_diameter and n >= 2
-    if rescale:
-        log_scale = math.log(_rescale_factor(diameter(config)))
-    _, log_delta = discriminant(config)
-    if log_delta == -math.inf:
-        return 0.0
-    if rescale:
-        log_delta += n * (n - 1) * log_scale
+    if n == 1:
+        return 1.0
+    d = pairwise_distances(config.as_complex)
+    log_delta = _log_discriminant(d)
+    if rescale_to_diameter:
+        log_delta += n * (n - 1) * math.log(_rescale_factor(float(d.max())))
     return _exp(log_delta - n * math.log(n))
 
 
@@ -208,16 +204,16 @@ def log_delta_bar(config: PointConfig) -> float:
 def evaluate(config: PointConfig) -> EvalReport:
     """Full evaluation report: delta_bar is delta / n^n of the configuration
     as given (rescale beforehand to compare diameter-2 values)."""
-    if config.n < 2:
+    n = config.n
+    if n < 2:
         raise InvalidConfigError("evaluate requires n >= 2")
-    delta, log_delta = discriminant(config)
-    diam = diameter(config)
+    d = pairwise_distances(config.as_complex)
+    diam = float(d.max())
     if diam == 0.0:
         raise InvalidConfigError("zero-diameter configuration")
-    delta_bar = 0.0 if log_delta == -math.inf else _exp(
-        log_delta - config.n * math.log(config.n))
-    return EvalReport(n=config.n, delta=delta, log_delta=log_delta,
-                      delta_bar=delta_bar, diameter=diam)
+    log_delta = _log_discriminant(d)
+    return EvalReport(n=n, delta=_exp(log_delta), log_delta=log_delta,
+                      delta_bar=_exp(log_delta - n * math.log(n)), diameter=diam)
 
 
 def is_convex_position(config: PointConfig) -> bool:
@@ -317,10 +313,21 @@ def stationarity_lhs(z: np.ndarray) -> np.ndarray:
     return L * _PRESCALE if huge else L
 
 
+def _pair_sq(z):
+    """z_i - z_j over the last axis of z, and its squared modulus q.
+
+    q is 1 on the diagonal, where diff is 0, so that log q and every
+    gradient term vanish there, and so do the optimizer's penalty terms
+    (mu > 0), whose multipliers are 0 there.
+    """
+    n = z.shape[-1]
+    diff = z[..., :, None] - z[..., None, :]
+    q = np.abs(diff) ** 2
+    q.reshape(-1, n * n)[:, ::n + 1] = 1.0  # the diagonals, through a strided view
+    return diff, q
+
+
 def complex_gradient(z: np.ndarray) -> np.ndarray:
     """Per-point gradient df/dx_k + i df/dy_k of f = sum log |z_k - z_j|^2."""
-    diff = z[:, None] - z[None, :]
-    np.fill_diagonal(diff, 1.0)
-    w = 2.0 * diff / np.abs(diff) ** 2
-    np.fill_diagonal(w, 0.0)
-    return w.sum(axis=1)
+    diff, q = _pair_sq(z)
+    return np.add.reduce(2.0 * diff / q, axis=-1)

@@ -194,8 +194,9 @@ def _normal_solve(N, Atg, w, a, b, g):
     return x + _cholesky_solve(C, inverses, _column_dots(w, a, b, r))
 
 
-def _nnls_project_resolve(w, a, b, g, rounds: int) -> np.ndarray:
-    """Least squares with nonnegativity by clamp-and-resolve iteration.
+def _nnls_project_resolve(w, a, b, g) -> np.ndarray:
+    """Least squares with nonnegativity by clamp-and-resolve iteration, at
+    most two rounds more than there are columns.
 
     Fits the complex n-vector g by nonnegative weights of columns holding w_c
     at point a_c and -w_c at point b_c, as 2n real equations.  Each solve
@@ -228,7 +229,7 @@ def _nnls_project_resolve(w, a, b, g, rounds: int) -> np.ndarray:
         return np.linalg.lstsq(A if support.all() else A[:, support], y, rcond=None)[0]
 
     lam = solve(np.ones(len(w), dtype=bool))
-    for _ in range(rounds):
+    for _ in range(len(w) + 2):
         if (lam >= -1e-12).all():
             break
         support = lam > 1e-12
@@ -249,7 +250,7 @@ def _fit(z: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
         return np.zeros(0), L
     # pair {a, b} contributes conj(z_b - z_a) at point a and its negative at b
     w = np.conj(z[b] - z[a])
-    lam = _nnls_project_resolve(w, a, b, L, len(a) + 2)
+    lam = _nnls_project_resolve(w, a, b, L)
     return lam, L - _column_sum(w, a, b, lam, len(z))
 
 

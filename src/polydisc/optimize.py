@@ -25,21 +25,16 @@ from . import kkt
 from .diamgraph import (DiameterGraph, enumerate_caterpillars,
                         enumerate_unicyclic_candidates)
 from .errors import InvalidConfigError
-from .geometry import (PointConfig, complex_gradient, log_delta_bar, pairwise_distances,
-                       upper_pairs)
+from .geometry import (PointConfig, _pair_sq, complex_gradient, log_delta_bar,
+                       pairwise_distances, upper_pairs)
 from .kkt import _constraint_gaps, _constraint_matrix, _pair_arrays
 
 TERM_CONVERGED = "gradient-converged"
-TERM_ITERATION_CAP = "iteration-cap"
 TERM_STALLED = "stalled"
 
 # Largest ascent stack, in pair entries (starts x n^2); more starts run in
 # consecutive chunks, so peak memory does not grow with the start count.
 _STACK_ENTRIES = 1 << 14
-
-# A polish that fails after this many ascent and Newton iterations in all is
-# labelled iteration-cap rather than stalled.
-_MAX_ITERS = 2000
 
 # Per start: at most _ROUNDS ascent rounds of at most _ROUND_STEPS steps, the
 # initial penalty, its growth factor and the largest penalty a round runs at,
@@ -161,19 +156,6 @@ def _edge_stretching_permutation(n, edges, slots, rng):
                 else:
                     perm[i], perm[j] = perm[j], perm[i]
     return perm
-
-
-def _pair_sq(z):
-    """z_i - z_j over the last axis of z, and its squared modulus q.
-
-    q is 1 on the diagonal, where diff and the multipliers are 0, so that
-    log q, the penalty terms (mu > 0) and every gradient term vanish there.
-    """
-    n = z.shape[-1]
-    diff = z[..., :, None] - z[..., None, :]
-    q = np.abs(diff) ** 2
-    q.reshape(-1, n * n)[:, ::n + 1] = 1.0  # the diagonals, through a strided view
-    return diff, q
 
 
 # The merit kernels take a stack: z (..., n), lam and eq (..., n, n), mu (...).
@@ -426,7 +408,7 @@ def _newton_kkt(z, act, lam_matrix, keep):
     for _ in range(20):
         if lam is None:
             lam = kkt._nnls_project_resolve(kkt._gap_gradients(z, a, b), a, b,
-                                            complex_gradient(z), len(act) + 2)
+                                            complex_gradient(z))
         zz, lm = z.copy(), lam.copy()
         # the residual and Jacobian at (zz, lm): computed here, then taken
         # over from the line search's accepted trial
@@ -508,10 +490,7 @@ def _polish(n, index, z, lam_matrix, used, keep, trace):
     ldb = log_delta_bar(config)
     report = kkt.verify(config)
     residual = report.stationarity_residual
-    if not ok:
-        term = TERM_ITERATION_CAP if iterations >= _MAX_ITERS else TERM_STALLED
-    else:
-        term = TERM_CONVERGED if residual < _TOL_GRADIENT else TERM_STALLED
+    term = TERM_CONVERGED if ok and residual < _TOL_GRADIENT else TERM_STALLED
     summary = StartSummary(
         index=index, log_delta_bar=ldb, kkt_residual=residual,
         iterations=iterations, termination=term,

