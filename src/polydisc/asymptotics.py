@@ -104,36 +104,32 @@ def regime_product(regime: int, k: int) -> float:
     return float(np.exp(np.sum(logs)))
 
 
-def _integrand_h(regime: int):
-    if regime == 1:
-        def h(b, c):
-            return (2.0 * (np.sin(b) ** 2 + np.sin(c) ** 2) * np.cos(b + c)
-                    * np.sin(b) * np.sin(c) + 4.0 * np.sin(b) ** 2 * np.sin(c) ** 2)
-        return h, 0.0
-    if regime == 2:
-        def h(b, c):
-            cb, cc = np.cos(b), np.cos(c)
-            sb, sc = np.sin(b), np.sin(c)
-            return (-0.25
-                    + (-4 * sb * cb ** 3 - 4 * sc * cc ** 3 + 5 * sb * cb + 5 * sc * cc)
-                    * SQRT3 / 8.0
-                    + (3.0 - 4 * cc ** 2) * cb ** 4 / 2.0
-                    + 2 * sc * cc * sb * cb ** 3
-                    + (-16 * cc ** 4 + 24 * cc ** 2 - 7) * cb ** 2 / 8.0
-                    + 2 * sb * (cc ** 2 - 1.5) * cc * sc * cb
-                    + 1.5 * cc ** 4 - 7 * cc ** 2 / 8.0)
-        return h, math.pi / 6.0
+def _integrand_rows(regime: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The junction integrand h(b, c) / sin^4(b + c + phi) in separable form.
 
-    def h(b, c):
-        cb, cc = np.cos(b), np.cos(c)
-        sb, sc = np.sin(b), np.sin(c)
-        return (0.375
-                + (2 * sc * cc * cb ** 2 + sb * (2 * cc ** 2 - 1) * cb - sc * cc)
-                * SQRT3 / 4.0
-                + (2 * cc ** 2 - 1) * cb ** 2 / 4.0
-                - sc * cc * cb * sb / 2.0
-                - cc ** 2 / 4.0)
-    return h, math.pi / 3.0
+    h(b, c) = sum_k f_k(b) g_k(c), each row a polynomial in the cosine and
+    sine of its angle, expanded from the paper's form of h (which the tests
+    keep as their reference).  Returns the rows f and g on the nodes t, as (K, len(t))
+    arrays, and the offset phi.
+    """
+    c, s = np.cos(t), np.sin(t)
+    if regime == 1:
+        f = [c * s ** 3, c * s, s ** 4, s ** 2]
+        g = [2 * c * s, 2 * c * s ** 3, -2 * s ** 2, -2 * s ** 2 * (s ** 2 - 2)]
+        return np.array(f), np.array(g), 0.0
+    if regime == 2:
+        f = [c ** 4, c ** 3 * s, c ** 2, c * s, np.ones_like(t)]
+        g = [-(4 * c ** 2 - 3) / 2,
+             (4 * c * s - SQRT3) / 2,
+             -(16 * c ** 4 - 24 * c ** 2 + 7) / 8,
+             (16 * c ** 3 * s - 24 * c * s + 5 * SQRT3) / 8,
+             (12 * c ** 4 - 4 * SQRT3 * c ** 3 * s - 7 * c ** 2 + 5 * SQRT3 * c * s - 2) / 8]
+        return np.array(f), np.array(g), math.pi / 6.0
+    f = [c ** 2, c * s, np.ones_like(t)]
+    g = [(2 * c ** 2 + 2 * SQRT3 * c * s - 1) / 4,
+         (2 * SQRT3 * c ** 2 - 2 * c * s - SQRT3) / 4,
+         -(2 * c ** 2 + 2 * SQRT3 * c * s - 3) / 8]
+    return np.array(f), np.array(g), math.pi / 3.0
 
 
 def _graded_gauss_nodes(panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -152,19 +148,35 @@ def _graded_gauss_nodes(panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray
     return np.concatenate(xs), np.concatenate(ws)
 
 
+# rows of the kernel 1 / sin^4(x + y + phi) built at a time by _regime_quadrature
+_KERNEL_ROWS = 64
+
+
 def _regime_quadrature(regime: int, nodes: int, panels: int) -> float:
-    h, phi = _integrand_h(regime)
+    """sum_k (w f_k)^T R (w g_k) with R = 1 / sin^4(x + y + phi) on the tensor
+    grid, R built a block of rows at a time from the addition formula."""
     t, w = _graded_gauss_nodes(panels, nodes)
-    x = t[:, None]
-    y = t[None, :]
-    vals = h(x, y) / np.sin(x + y + phi) ** 4
-    return float(np.einsum("i,j,ij->", w, w, vals))
+    f, g, phi = _integrand_rows(regime, t)
+    f, g = f * w, g * w
+    sx, cx = np.sin(t), np.cos(t)
+    sy, cy = np.sin(t + phi), np.cos(t + phi)
+    total = 0.0
+    for lo in range(0, len(t), _KERNEL_ROWS):
+        rows = slice(lo, lo + _KERNEL_ROWS)
+        r = np.multiply.outer(sx[rows], cy)
+        r += np.multiply.outer(cx[rows], sy)
+        r *= r
+        r *= r
+        np.divide(1.0, r, out=r)
+        total += float(np.vdot(f[:, rows], g @ r.T))
+    return total
 
 
 def regime_integral(regime: int, nodes: int = 16, panels: int = 24) -> float:
     """Double integral whose value is -ln C_regime, by tensor Gauss-Legendre
-    on a geometrically graded grid; raises if doubling the nodes moves the
-    result by 1e-10 or more."""
+    on a geometrically graded grid, summed as the low-rank form of
+    _regime_quadrature; raises if doubling the nodes moves the result by
+    1e-10 or more."""
     v = _regime_quadrature(regime, nodes, panels)
     v2 = _regime_quadrature(regime, 2 * nodes, panels)
     if abs(v2 - v) >= 1e-10:

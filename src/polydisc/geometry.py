@@ -20,7 +20,7 @@ from .errors import InvalidConfigError, SingularConfigError
 # exp() overflows above this; larger log-values are reported as log-only
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
-# stationarity_lhs scales coordinates past _HUGE by the exact _PRESCALE
+# the stationarity sums scale coordinates past _HUGE by the exact _PRESCALE
 _HUGE = 2.0 ** 1000
 _PRESCALE = 2.0 ** -600
 
@@ -101,12 +101,42 @@ def _row_blocks(rows: int, cols: int | None = None) -> list[slice]:
 
 def pairwise_distances(z: np.ndarray) -> np.ndarray:
     """Full (n, n) matrix of |z_i - z_j| with zeros on the diagonal."""
+    return _pair_rows(z, sums=False)[0]
+
+
+def _pair_rows(z, distances: bool = True, sums: bool = True):
+    """One pass over the pairs of z, a block of rows at a time, forming each
+    block of differences z_j - z_k once.
+
+    Returns (d, L): the (n, n) matrix d of |z_j - z_k| when ``distances``,
+    and the stationarity sums L of stationarity_lhs when ``sums``, else None
+    in their place.  The sums of coordinates past 2^1000 come from the points
+    prescaled by 2^-600, where a difference that overflows stays finite.
+    """
     z = np.asarray(z, dtype=complex)
-    d = np.empty((len(z), len(z)))
-    with np.errstate(over="ignore"):  # differences past the float range are inf
-        for rows in _row_blocks(len(z)):
-            np.abs(z[rows, None] - z[None, :], out=d[rows])
-    return d
+    n = len(z)
+    d = np.empty((n, n)) if distances else None
+    L = np.empty(n, dtype=complex) if sums else None
+    huge = sums and np.maximum(np.abs(z.real), np.abs(z.imag)).max(initial=0.0) > _HUGE
+    zs = z * _PRESCALE if huge else z
+    # differences past the float range are inf; callers reject non-finite sums
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for rows in _row_blocks(n):
+            if distances:
+                diff = z[None, :] - z[rows, None]  # [k, j] = z_j - z_k
+                np.abs(diff, out=d[rows])
+            if sums:
+                if huge or not distances:
+                    diff = zs[None, :] - zs[rows, None]
+                k = np.arange(rows.start, rows.stop)
+                diff[k - rows.start, k] = 1.0
+                np.divide(1.0, diff, out=diff)
+                diff[k - rows.start, k] = 0.0
+                L[rows] = diff.sum(axis=1)
+            # freed before the next block is made, so that the allocator hands
+            # back the same pages, not fresh ones that fault in on first write
+            del diff
+    return d, (L * _PRESCALE if huge else L)
 
 
 def _distinct(d: np.ndarray) -> bool:
@@ -264,8 +294,9 @@ def hull_indices(points: np.ndarray, eps: float) -> list[int]:
 
 def upper_pairs(mask: np.ndarray) -> list[tuple[int, int]]:
     """Pairs (i, j) with i < j where the (n, n) mask holds, in row-major order."""
-    i, j = np.nonzero(np.triu(mask, 1))
-    return list(zip(i.tolist(), j.tolist()))
+    i, j = np.nonzero(mask)  # masks of pairs are sparse: cheaper than a triu copy
+    upper = i < j
+    return list(zip(i[upper].tolist(), j[upper].tolist()))
 
 
 def objective_gradient(config: PointConfig) -> np.ndarray:
@@ -298,19 +329,7 @@ def stationarity_lhs(z: np.ndarray) -> np.ndarray:
     L is homogeneous of degree -1 and the scaling is exact, so the sums are
     then scaled by 2^-600 too.
     """
-    huge = np.maximum(np.abs(z.real), np.abs(z.imag)).max(initial=0.0) > _HUGE
-    if huge:
-        z = z * _PRESCALE
-    L = np.empty(len(z), dtype=complex)
-    for rows in _row_blocks(len(z)):
-        inv = z[None, :] - z[rows, None]  # [k, j] = z_j - z_k
-        k = np.arange(rows.start, rows.stop)
-        inv[k - rows.start, k] = 1.0
-        with np.errstate(over="ignore", invalid="ignore"):  # callers reject non-finite sums
-            np.divide(1.0, inv, out=inv)
-        inv[k - rows.start, k] = 0.0
-        L[rows] = inv.sum(axis=1)
-    return L * _PRESCALE if huge else L
+    return _pair_rows(z, distances=False)[1]
 
 
 def _pair_sq(z):

@@ -13,8 +13,10 @@ A diameter graph has at most n edges and each column of the system has four
 nonzeros, so the least-squares solves use the normal equations, assembled
 pair by pair and Cholesky-factored, with one step of iterative refinement.
 Numerically dependent columns, or products past the float range, fall back
-to np.linalg.lstsq on the dense system.  verify builds the distance matrix
-once, for the distinctness test and the active set.
+to np.linalg.lstsq on the dense system.  verify and recover_multipliers
+take one pass over the pairs (geometry._pair_rows): each block of pair
+differences gives the distances, for the distinctness test and the active
+set, and the reciprocals of the stationarity sums.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, SingularConfigError
-from .geometry import (PointConfig, _distinct, _row_blocks, pairwise_distances,
-                       stationarity_lhs, upper_pairs)
+from .geometry import (PointConfig, _distinct, _pair_rows, _row_blocks,
+                       pairwise_distances, stationarity_lhs, upper_pairs)
 
 Pair = tuple[int, int]
 
@@ -240,10 +242,18 @@ def _nnls_project_resolve(w, a, b, g) -> np.ndarray:
     return np.maximum(lam, 0.0)
 
 
-def _fit(z: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _distances_and_sums(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distance matrix and the stationarity sums of distinct points z."""
+    d, L = _pair_rows(z)
+    if not _distinct(d):
+        raise SingularConfigError("coincident points")
+    return d, L
+
+
+def _fit(z: np.ndarray, a: np.ndarray, b: np.ndarray,
+         L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nonnegative multipliers of the active pairs (a < b) and the per-point
-    stationarity residual they leave."""
-    L = stationarity_lhs(z)
+    stationarity residual they leave, from the stationarity sums L of z."""
     if not np.isfinite(L).all():
         raise SingularConfigError("points too close: the stationarity sums overflow")
     if not len(a):
@@ -261,10 +271,10 @@ def recover_multipliers(config: PointConfig, active) -> tuple[dict, float]:
     With an empty active set the residual is simply the size of the
     left-hand side: no stationarity is possible unless the gradient vanishes.
     """
-    if not config.is_distinct():
-        raise SingularConfigError("coincident points")
+    z = config.as_complex
+    L = _distances_and_sums(z)[1]
     active = [(min(a, b), max(a, b)) for a, b in active]
-    lam, resid = _fit(config.as_complex, *_pair_arrays(active))
+    lam, resid = _fit(z, *_pair_arrays(active), L)
     return dict(zip(active, lam.tolist())), float(np.abs(resid).max())
 
 
@@ -273,13 +283,11 @@ def verify(config: PointConfig, rel_tol: float = 1e-9) -> KKTReport:
     if config.n < 2:
         raise InvalidConfigError("need n >= 2")
     z = config.as_complex
-    d = pairwise_distances(z)
-    if not _distinct(d):
-        raise SingularConfigError("coincident points")
+    d, L = _distances_and_sums(z)
     act = _active_pairs(d, rel_tol)
-    del d  # the fit's own n x n arrays need the room
+    del d
     a, b = _pair_arrays(act)
-    lam, resid = _fit(z, a, b)
+    lam, resid = _fit(z, a, b, L)
     comp = float(np.abs(lam * _constraint_gaps(z, a, b)).max(initial=0.0))
     degree = np.bincount(np.concatenate([a, b]), minlength=config.n)
     multipliers = dict(zip(act, lam.tolist()))

@@ -17,6 +17,9 @@ from polydisc import (
     zeta3,
 )
 from polydisc.asymptotics import (
+    _graded_gauss_nodes,
+    _integrand_rows,
+    _regime_quadrature,
     even_bound_closed,
     j_closed,
     j_series_error,
@@ -88,6 +91,54 @@ class TestRegimeProducts:
     def test_invalid_regime(self):
         with pytest.raises(InvalidConfigError):
             regime_product(4, 10)
+
+
+def _direct_h(regime, b, c):
+    """Reference: the junction integrand's numerator h(b, c) as the paper
+    writes it, with its offset phi."""
+    cb, cc = np.cos(b), np.cos(c)
+    sb, sc = np.sin(b), np.sin(c)
+    if regime == 1:
+        return (2.0 * (sb ** 2 + sc ** 2) * np.cos(b + c) * sb * sc
+                + 4.0 * sb ** 2 * sc ** 2), 0.0
+    if regime == 2:
+        return (-0.25
+                + (-4 * sb * cb ** 3 - 4 * sc * cc ** 3 + 5 * sb * cb + 5 * sc * cc)
+                * SQRT3 / 8.0
+                + (3.0 - 4 * cc ** 2) * cb ** 4 / 2.0
+                + 2 * sc * cc * sb * cb ** 3
+                + (-16 * cc ** 4 + 24 * cc ** 2 - 7) * cb ** 2 / 8.0
+                + 2 * sb * (cc ** 2 - 1.5) * cc * sc * cb
+                + 1.5 * cc ** 4 - 7 * cc ** 2 / 8.0), math.pi / 6.0
+    return (0.375
+            + (2 * sc * cc * cb ** 2 + sb * (2 * cc ** 2 - 1) * cb - sc * cc) * SQRT3 / 4.0
+            + (2 * cc ** 2 - 1) * cb ** 2 / 4.0
+            - sc * cc * cb * sb / 2.0
+            - cc ** 2 / 4.0), math.pi / 3.0
+
+
+def _direct_quadrature(regime, nodes, panels):
+    """Reference: the tensor Gauss-Legendre sum of the direct integrand."""
+    t, w = _graded_gauss_nodes(panels, nodes)
+    h, phi = _direct_h(regime, t[:, None], t[None, :])
+    return float(np.einsum("i,j,ij->", w, w, h / np.sin(t[:, None] + t[None, :] + phi) ** 4))
+
+
+class TestSeparableIntegrand:
+    @pytest.mark.parametrize("regime", [1, 2, 3])
+    def test_rows_match_direct_integrand(self, regime):
+        b, c = np.random.default_rng(regime).uniform(0.0, math.pi / 6.0, size=(2, 1000))
+        f, _, phi = _integrand_rows(regime, b)
+        _, g, _ = _integrand_rows(regime, c)
+        h, direct_phi = _direct_h(regime, b, c)
+        assert phi == direct_phi
+        assert (np.abs((f * g).sum(axis=0) - h) / np.abs(h)).max() <= 1e-13
+
+    @pytest.mark.parametrize("regime", [1, 2, 3])
+    @pytest.mark.parametrize("nodes, panels", [(4, 0), (8, 3), (16, 24)])
+    def test_quadrature_matches_direct_sum(self, regime, nodes, panels):
+        assert abs(_regime_quadrature(regime, nodes, panels)
+                   - _direct_quadrature(regime, nodes, panels)) <= 1e-14
 
 
 class TestRegimeIntegrals:

@@ -269,14 +269,15 @@ def test_overflowing_normal_equations_fall_back():
 
 @pytest.mark.parametrize("check", [verify, maximizer_structure_report, log_delta_bar])
 def test_one_distance_matrix_per_check(check):
-    real, calls = geometry.pairwise_distances, []
+    # every pass over the pairs counts, the stationarity sums' as well as the
+    # distance matrix's: verify takes both from one
+    real, calls = geometry._pair_rows, []
 
-    def counted(z):
+    def counted(z, *args, **kwargs):
         calls.append(len(z))
-        return real(z)
+        return real(z, *args, **kwargs)
 
-    with mock.patch.object(geometry, "pairwise_distances", counted), \
-            mock.patch.object(kkt, "pairwise_distances", counted), \
-            mock.patch.object(diamgraph, "pairwise_distances", counted):
+    with mock.patch.object(geometry, "_pair_rows", counted), \
+            mock.patch.object(kkt, "_pair_rows", counted):
         check(regular_ngon(9))
     assert calls == [9]

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from polydisc import PointConfig, active_set, extract, geometry, regular_ngon
+from polydisc import (PointConfig, SingularConfigError, active_set, extract, geometry,
+                      recover_multipliers, regular_ngon, verify)
 from polydisc.geometry import normalize_to_diameter, pairwise_distances, upper_pairs
 
 
@@ -77,3 +78,69 @@ def test_row_blocks_match_one_pass(monkeypatch, entries):
     assert active_set(config, 1e-3) == loop_pairs(d2, 4.0 * (1.0 - 1e-3))
     assert [s.stop - s.start for s in geometry._row_blocks(23)] == (
         [1] * 23 if entries == 1 else [2] * 11 + [1] if entries == 50 else [23])
+
+
+def loop_distances_and_sums(z):
+    """Reference: |z_j - z_k| and L_k = sum_{j != k} 1/(z_j - z_k) a row at a
+    time, L from the points scaled by 2^-600 when a coordinate is past 2^1000."""
+    huge = np.maximum(np.abs(z.real), np.abs(z.imag)).max() > 2.0 ** 1000
+    zs = z * 2.0 ** -600 if huge else z
+    d, L = np.empty((len(z), len(z))), np.empty(len(z), dtype=complex)
+    for k in range(len(z)):
+        with np.errstate(over="ignore"):
+            d[k] = np.abs(z - z[k])
+        diff = zs - zs[k]
+        diff[k] = 1.0
+        inv = 1.0 / diff
+        inv[k] = 0.0
+        L[k] = inv.sum()
+    return d, L * 2.0 ** -600 if huge else L
+
+
+def _fused_case(n, scale, close):
+    x, y = np.random.default_rng(n).normal(size=(2, n))
+    z = (x + 1j * y) * scale
+    if close:
+        z[:2] = 0.0, 1e-160
+    return z
+
+
+@pytest.mark.parametrize("rows", [1, 2, None])
+@pytest.mark.parametrize("scale, close", [(1e-150, False), (1.0, False), (2.0 ** 1010, False),
+                                          (1.0, True)])
+@pytest.mark.parametrize("n", [2, 3, 17, 512, 513, 1001, 1500])
+def test_fused_pass_matches_distances_and_sums(monkeypatch, n, scale, close, rows):
+    # blocks of one row, of two rows, and the default blocks (several at
+    # n = 1500, the last one short)
+    if rows is not None:
+        monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", rows * n)
+    z = _fused_case(n, scale, close)
+    d, L = geometry._pair_rows(z)
+    ref_d, ref_L = loop_distances_and_sums(z)
+    assert d.tobytes() == pairwise_distances(z).tobytes() == ref_d.tobytes()
+    assert L.tobytes() == geometry.stationarity_lhs(z).tobytes() == ref_L.tobytes()
+    assert np.isfinite(L).all()
+
+
+def test_fused_pass_prescales_only_the_sums():
+    # the difference of the first two points is past the float range, so its
+    # distance is inf, while the prescaled sums stay finite
+    z = np.array([1.5 * 2.0 ** 1023, -1.5 * 2.0 ** 1023, 1j])
+    d, L = geometry._pair_rows(z)
+    ref_d, ref_L = loop_distances_and_sums(z)
+    assert d[0, 1] == d[1, 0] == np.inf
+    assert d.tobytes() == ref_d.tobytes() and L.tobytes() == ref_L.tobytes()
+    assert np.isfinite(L).all()
+
+
+@pytest.mark.parametrize("n", [3, 17, 513])
+def test_coincident_points_stay_singular(n):
+    z = _fused_case(n, 1.0, False)
+    z[n - 1] = z[0]
+    config = PointConfig.from_complex(z)
+    d, _ = geometry._pair_rows(z)
+    assert not geometry._distinct(d)
+    with pytest.raises(SingularConfigError):
+        verify(config)
+    with pytest.raises(SingularConfigError):
+        recover_multipliers(config, [(0, 1)])
