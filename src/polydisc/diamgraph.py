@@ -298,7 +298,7 @@ def _pairwise_intersecting(pts: np.ndarray, d: np.ndarray, graph: DiameterGraph)
         ea, eb, fa, fb = a[rows, None], b[rows, None], a[lo:], b[lo:]
         shared = (ea == fa) | (ea == fb) | (eb == fa) | (eb == fb)
         collinear = (d1 == 0) & (d2 == 0) & (d3 == 0) & (d4 == 0)
-        i, j = np.nonzero(zero_sign & (collinear | ~shared))
+        i, j = np.divmod(np.flatnonzero(zero_sign & (collinear | ~shared)), m - lo)
         e, f = lo + i, lo + j
         if not _degenerate_meet_once(pts[a[e]], pts[b[e]], pts[a[f]], pts[b[f]],
                                      d1[i, j], d2[i, j], d3[i, j], d4[i, j],

@@ -147,7 +147,10 @@ def _distinct(d: np.ndarray) -> bool:
 def _log_discriminant(d: np.ndarray) -> float:
     """Sum of the logs of the off-diagonal entries of the distance matrix d,
     -inf when one of them is zero."""
-    off = d[~np.eye(len(d), dtype=bool)]
+    # row-major, the entries after each diagonal entry up to the next one:
+    # the off-diagonal entries in order, without an n x n mask
+    n = len(d)
+    off = d.ravel()[1:].reshape(n - 1, n + 1)[:, :-1].ravel()
     if (off == 0.0).any():
         return -math.inf
     return float(np.sum(np.log(off, out=off)))
@@ -277,9 +280,12 @@ def hull_indices(points: np.ndarray, eps: float) -> list[int]:
         return list(range(n))
     order = np.lexsort((points[:, 1], points[:, 0])).tolist()
 
+    # Python floats: the same arithmetic as numpy's, without its per-element
+    # indexing cost
+    x, y = points[:, 0].tolist(), points[:, 1].tolist()
+
     def cross(o, a, b):
-        po, pa, pb = points[o], points[a], points[b]
-        return (pa[0] - po[0]) * (pb[1] - po[1]) - (pa[1] - po[1]) * (pb[0] - po[0])
+        return (x[a] - x[o]) * (y[b] - y[o]) - (y[a] - y[o]) * (x[b] - x[o])
 
     def chain(indices):
         hull = []
@@ -294,7 +300,9 @@ def hull_indices(points: np.ndarray, eps: float) -> list[int]:
 
 def upper_pairs(mask: np.ndarray) -> list[tuple[int, int]]:
     """Pairs (i, j) with i < j where the (n, n) mask holds, in row-major order."""
-    i, j = np.nonzero(mask)  # masks of pairs are sparse: cheaper than a triu copy
+    # masks of pairs are sparse: cheaper than a triu copy, and the flat
+    # indices cheaper than np.nonzero's two, in the same row-major order
+    i, j = np.divmod(np.flatnonzero(mask), mask.shape[1])
     upper = i < j
     return list(zip(i[upper].tolist(), j[upper].tolist()))
 

@@ -12,11 +12,17 @@ residual is the largest per-point modulus of the unexplained part.
 A diameter graph has at most n edges and each column of the system has four
 nonzeros, so the least-squares solves use the normal equations, assembled
 pair by pair and Cholesky-factored, with one step of iterative refinement.
-Numerically dependent columns, or products past the float range, fall back
-to np.linalg.lstsq on the dense system.  verify and recover_multipliers
-take one pass over the pairs (geometry._pair_rows): each block of pair
-differences gives the distances, for the distinctness test and the active
-set, and the reciprocals of the stationarity sums.
+Two pairs couple in the normal matrix only when they share a point, and a
+maximizer's diameter graph is a caterpillar or an odd cycle with pendants,
+so a row has a few nonzeros.  Fits of more than one Cholesky block of pairs
+are ordered breadth first over shared points, which makes the matrix
+banded, and factored a block of columns at a time, each block updating only
+the later rows coupled to it.  Numerically dependent columns, or products
+past the float range, fall back to np.linalg.lstsq on the dense system.
+verify and recover_multipliers take one pass over the pairs
+(geometry._pair_rows): each block of pair differences gives the distances,
+for the distinctness test and the active set, and the reciprocals of the
+stationarity sums.
 """
 
 from __future__ import annotations
@@ -143,30 +149,51 @@ def _normal_matrix(w, a, b):
 # a Cholesky pivot at most this fraction of the largest diagonal entry of the
 # normal matrix marks its columns as numerically dependent
 _PIVOT_FLOOR = 1e-10
-# rows per diagonal block of the Cholesky factor in _cholesky_solve
+# rows per diagonal block of the Cholesky factor
 _BLOCK = 64
 
 
 def _cholesky_factor(N):
     """Lower-triangular C with C C^T = N, and the inverses of its diagonal
-    blocks.  Raises LinAlgError when N is not numerically positive definite.
+    blocks of _BLOCK rows.  Raises LinAlgError when N is not numerically
+    positive definite.
+
+    Up to one block, N is factored by np.linalg.cholesky.  Above that, the
+    factor is right-looking, a block of columns at a time, in a copy of N:
+    np.linalg.cholesky factors the diagonal block, and only the later rows
+    coupled to the block take its panel and the Schur update.  A banded N,
+    as _fit orders it, then costs O(m) blocks, and LAPACK sees no matrix
+    larger than a block, so none copies the whole of N.
 
     The blocks are inverted by substitution row by row, not by
     np.linalg.solve, so the solves take only matrix products: the first call
     of another LAPACK routine maps more of the library into memory (0.4 MB
     more peak memory on an optimizer run)."""
-    C = np.linalg.cholesky(N)
-    if (np.diag(C) ** 2).min(initial=np.inf) <= _PIVOT_FLOOR * np.diag(N).max(initial=0.0):
-        raise np.linalg.LinAlgError("dependent columns")
+    m = len(N)
+    floor = _PIVOT_FLOOR * np.diag(N).max(initial=0.0)
+    C = np.linalg.cholesky(N) if m <= _BLOCK else N.copy()
     inverses = []
-    for lo in range(0, len(C), _BLOCK):
-        T = C[lo:lo + _BLOCK, lo:lo + _BLOCK]
+    for lo in range(0, m, _BLOCK):
+        hi = lo + _BLOCK
+        if m > _BLOCK:
+            C[lo:hi, lo:hi] = np.linalg.cholesky(C[lo:hi, lo:hi])
+            C[lo:hi, hi:] = 0.0
+        T = C[lo:hi, lo:hi]
+        if (np.diag(T) ** 2).min() <= floor:
+            raise np.linalg.LinAlgError("dependent columns")
         X = np.zeros_like(T)
         for k in range(len(T)):
             X[k] = -(T[k, :k] @ X[:k])
             X[k, k] += 1.0
             X[k] /= T[k, k]
         inverses.append(X)
+        if hi < m:
+            # the panel of the later rows coupled to this block, and the
+            # Schur update on those rows only
+            rows = hi + np.flatnonzero(C[hi:, lo:hi].any(axis=1))
+            panel = C[rows, lo:hi] @ X.T
+            C[rows, lo:hi] = panel
+            C[np.ix_(rows, rows)] -= panel @ panel.T
     return C, inverses
 
 
@@ -250,6 +277,39 @@ def _distances_and_sums(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, L
 
 
+def _band_order(a, b) -> np.ndarray:
+    """The pairs (a, b) in Cuthill-McKee order: breadth first over shared
+    points, each component from a pair with the fewest neighbours, and the
+    pairs at a point by their number of neighbours.
+
+    Two pairs couple in the normal matrix only when they share a point, so in
+    this order its nonzeros lie in a band as wide as two levels of the search:
+    a few entries on a maximizer's diameter graph, which is a caterpillar or
+    an odd cycle with pendants."""
+    al, bl = a.tolist(), b.tolist()
+    deg = np.bincount(np.concatenate([a, b]))
+    by_degree = np.argsort(deg[a] + deg[b], kind="stable").tolist()
+    pairs_at = [[] for _ in deg]
+    for c in by_degree:
+        pairs_at[al[c]].append(c)
+        pairs_at[bl[c]].append(c)
+    seen = [False] * len(al)
+    order, head = [], 0
+    for root in by_degree:
+        if seen[root]:
+            continue
+        seen[root] = True
+        order.append(root)
+        while head < len(order):
+            c = order[head]
+            head += 1
+            for e in pairs_at[al[c]] + pairs_at[bl[c]]:
+                if not seen[e]:
+                    seen[e] = True
+                    order.append(e)
+    return np.array(order)
+
+
 def _fit(z: np.ndarray, a: np.ndarray, b: np.ndarray,
          L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nonnegative multipliers of the active pairs (a < b) and the per-point
@@ -260,7 +320,13 @@ def _fit(z: np.ndarray, a: np.ndarray, b: np.ndarray,
         return np.zeros(0), L
     # pair {a, b} contributes conj(z_b - z_a) at point a and its negative at b
     w = np.conj(z[b] - z[a])
-    lam = _nnls_project_resolve(w, a, b, L)
+    if len(a) <= _BLOCK:
+        lam = _nnls_project_resolve(w, a, b, L)
+    else:
+        # fitted in an order that makes the normal matrix banded
+        order = _band_order(a, b)
+        lam = np.empty(len(a))
+        lam[order] = _nnls_project_resolve(w[order], a[order], b[order], L)
     return lam, L - _column_sum(w, a, b, lam, len(z))
 
 

@@ -16,6 +16,7 @@ from polydisc import (
     objective_gradient,
 )
 from polydisc.constructions import hexagon6, kite4, regular_ngon
+from polydisc.geometry import _log_discriminant, hull_indices, pairwise_distances, upper_pairs
 
 SQRT3 = math.sqrt(3.0)
 
@@ -237,3 +238,41 @@ class TestInvariants:
             cfg = random_config(rng, n)
             delta, log_delta = discriminant(cfg)
             assert delta == pytest.approx(math.exp(log_delta), rel=1e-10)
+
+
+class TestPairKernels:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 40])
+    @pytest.mark.parametrize("density", [0.0, 0.1, 1.0])
+    def test_upper_pairs_match_nonzero(self, n, density):
+        mask = np.random.default_rng(n).uniform(size=(n, n)) < density
+        i, j = np.nonzero(mask)
+        expected = [(p, q) for p, q in zip(i.tolist(), j.tolist()) if p < q]
+        assert upper_pairs(mask) == expected
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 40])
+    def test_log_discriminant_matches_masked_sum(self, n):
+        d = pairwise_distances(random_config(np.random.default_rng(n), n).as_complex)
+        off = d[~np.eye(n, dtype=bool)]
+        assert _log_discriminant(d) == float(np.sum(np.log(off)))
+
+    @pytest.mark.parametrize("n", [3, 8, 60])
+    def test_hull_matches_numpy_rows(self, n):
+        # the reference takes its cross products on numpy scalars
+        rng = np.random.default_rng(n)
+        pts = rng.uniform(-1.0, 1.0, (n, 2))
+        pts[: n // 2] /= np.hypot(*pts[: n // 2].T)[:, None]  # some on the circle
+
+        def cross(o, a, b):
+            po, pa, pb = pts[o], pts[a], pts[b]
+            return (pa[0] - po[0]) * (pb[1] - po[1]) - (pa[1] - po[1]) * (pb[0] - po[0])
+
+        def chain(indices):
+            hull = []
+            for i in indices:
+                while len(hull) > 1 and cross(hull[-2], hull[-1], i) <= 0.0:
+                    hull.pop()
+                hull.append(i)
+            return hull
+
+        order = np.lexsort((pts[:, 1], pts[:, 0])).tolist()
+        assert hull_indices(pts, 0.0) == chain(order)[:-1] + chain(order[::-1])[:-1]

@@ -16,7 +16,7 @@ from polydisc import (
     verify,
 )
 from polydisc import diamgraph, geometry, kkt
-from polydisc.constructions import dodecagon12, hexagon6, kite4, triwave
+from polydisc.constructions import arc_polygon, dodecagon12, hexagon6, kite4, triwave
 from polydisc.geometry import normalize_to_diameter
 from polydisc.kkt import stationarity_lhs
 
@@ -281,3 +281,79 @@ def test_one_distance_matrix_per_check(check):
             mock.patch.object(kkt, "_pair_rows", counted):
         check(regular_ngon(9))
     assert calls == [9]
+
+
+def _relabeled(config, seed):
+    perm = np.random.default_rng(seed).permutation(config.n)
+    return PointConfig.from_complex(config.as_complex[perm]), perm
+
+
+# more than kkt._BLOCK active pairs each (301 and 120): the fit is ordered
+# breadth first and factored a block at a time
+BANDED = {"regular301": lambda: regular_ngon(301), "arc20": lambda: arc_polygon(20).P}
+
+
+def _lstsq_reference(config, active):
+    z = config.as_complex
+    a, b = kkt._pair_arrays(active)
+    A = kkt._column_matrix(np.conj(z[b] - z[a]), a, b, config.n)
+    L = stationarity_lhs(z)
+    return np.linalg.lstsq(A, np.concatenate([L.real, L.imag]), rcond=None)[0]
+
+
+@pytest.mark.parametrize("name", sorted(BANDED))
+@pytest.mark.parametrize("floor", [kkt._PIVOT_FLOOR, 1.0])
+def test_banded_fit_matches_dense_lstsq(name, floor, monkeypatch):
+    # a pivot floor of 1 rejects every factor: the fit is the lstsq fallback
+    monkeypatch.setattr(kkt, "_PIVOT_FLOOR", floor)
+    config = BANDED[name]()
+    moved, perm = _relabeled(config, 7)
+    label = np.argsort(perm)  # the new label of each old point
+    with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+        report = verify(moved)
+    assert lstsq.called == (floor == 1.0)
+    expected = {tuple(sorted((label[i], label[j]))) for i, j in active_set(config)}
+    assert len(report.active_set) > kkt._BLOCK
+    assert set(report.active_set) == expected
+    ref = _lstsq_reference(moved, report.active_set)
+    lam = np.array(list(report.multipliers.values()))
+    assert ref.min() > 0
+    assert (np.abs(lam - ref) <= 1e-12 * ref).all()
+
+
+def test_band_order_is_a_narrow_permutation():
+    # the diameter graph of an odd regular polygon is a cycle, and so is its
+    # pairs' sharing graph: breadth first, each pair couples with pairs at
+    # most two places away
+    moved, _ = _relabeled(regular_ngon(301), 7)
+    z = moved.as_complex
+    a, b = kkt._pair_arrays(active_set(moved))
+    order = kkt._band_order(a, b)
+    assert sorted(order.tolist()) == list(range(len(a)))
+    i, j = np.nonzero(kkt._normal_matrix(np.conj(z[b] - z[a])[order], a[order], b[order]))
+    assert np.abs(i - j).max() == 2
+
+
+@pytest.mark.parametrize("m", [65, 130, 200])
+def test_block_factor_matches_dense_cholesky(m):
+    # a random sparse pattern, not a band: fill-in spreads over later blocks
+    rng = np.random.default_rng(m)
+    B = rng.normal(size=(m, m)) * (rng.uniform(size=(m, m)) < 0.02)
+    N = B @ B.T + np.eye(m)
+    C, inverses = kkt._cholesky_factor(N)
+    assert not np.triu(C, 1).any()
+    assert np.abs(C - np.linalg.cholesky(N)).max() <= 1e-12 * np.abs(C).max()
+    r = rng.normal(size=m)
+    assert np.abs(kkt._cholesky_solve(C, inverses, r) - np.linalg.solve(N, r)).max() \
+        <= 1e-10 * np.abs(np.linalg.solve(N, r)).max()
+
+
+def test_no_lapack_factor_larger_than_a_block():
+    # the whole normal matrix never reaches np.linalg.cholesky, whose work
+    # copy of it would set verify's memory peak at large n
+    moved, _ = _relabeled(regular_ngon(301), 7)
+    with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as cholesky:
+        verify(moved)
+    sizes = [max(call.args[0].shape) for call in cholesky.call_args_list]
+    assert len(sizes) > 1
+    assert max(sizes) <= kkt._BLOCK
