@@ -148,9 +148,11 @@ def _log_discriminant(d: np.ndarray) -> float:
     """Sum of the logs of the off-diagonal entries of the distance matrix d,
     -inf when one of them is zero."""
     # row-major, the entries after each diagonal entry up to the next one:
-    # the off-diagonal entries in order, without an n x n mask
+    # the off-diagonal entries in order, without an n x n mask.  flatten, not
+    # ravel: at n = 2 the slice is contiguous, and the logs below would be
+    # taken in d itself
     n = len(d)
-    off = d.ravel()[1:].reshape(n - 1, n + 1)[:, :-1].ravel()
+    off = d.ravel()[1:].reshape(n - 1, n + 1)[:, :-1].flatten()
     if (off == 0.0).any():
         return -math.inf
     return float(np.sum(np.log(off, out=off)))

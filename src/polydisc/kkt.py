@@ -158,12 +158,13 @@ def _cholesky_factor(N):
     blocks of _BLOCK rows.  Raises LinAlgError when N is not numerically
     positive definite.
 
-    Up to one block, N is factored by np.linalg.cholesky.  Above that, the
-    factor is right-looking, a block of columns at a time, in a copy of N:
-    np.linalg.cholesky factors the diagonal block, and only the later rows
-    coupled to the block take its panel and the Schur update.  A banded N,
-    as _fit orders it, then costs O(m) blocks, and LAPACK sees no matrix
-    larger than a block, so none copies the whole of N.
+    The factor is right-looking, a block of columns at a time, in a copy of
+    N: np.linalg.cholesky factors the diagonal block, and only the span of
+    later rows coupled to the block takes its panel and the Schur update, in
+    place, on the lower triangle, a block of columns at a time.  A banded N,
+    as _fit orders it, then costs O(m) blocks, and a dense one makes no
+    temporary larger than a block of columns.  LAPACK sees no matrix larger
+    than a block, so none copies the whole of N.
 
     The blocks are inverted by substitution row by row, not by
     np.linalg.solve, so the solves take only matrix products: the first call
@@ -171,13 +172,12 @@ def _cholesky_factor(N):
     more peak memory on an optimizer run)."""
     m = len(N)
     floor = _PIVOT_FLOOR * np.diag(N).max(initial=0.0)
-    C = np.linalg.cholesky(N) if m <= _BLOCK else N.copy()
+    C = N.copy()
     inverses = []
     for lo in range(0, m, _BLOCK):
         hi = lo + _BLOCK
-        if m > _BLOCK:
-            C[lo:hi, lo:hi] = np.linalg.cholesky(C[lo:hi, lo:hi])
-            C[lo:hi, hi:] = 0.0
+        C[lo:hi, lo:hi] = np.linalg.cholesky(C[lo:hi, lo:hi])
+        C[lo:hi, hi:] = 0.0
         T = C[lo:hi, lo:hi]
         if (np.diag(T) ** 2).min() <= floor:
             raise np.linalg.LinAlgError("dependent columns")
@@ -188,12 +188,18 @@ def _cholesky_factor(N):
             X[k] /= T[k, k]
         inverses.append(X)
         if hi < m:
-            # the panel of the later rows coupled to this block, and the
-            # Schur update on those rows only
-            rows = hi + np.flatnonzero(C[hi:, lo:hi].any(axis=1))
-            panel = C[rows, lo:hi] @ X.T
-            C[rows, lo:hi] = panel
-            C[np.ix_(rows, rows)] -= panel @ panel.T
+            # the panel of the span of later rows coupled to this block (the
+            # rows between take a zero panel and no update), and the Schur
+            # update on that span: its columns a block at a time, each from
+            # its first row down, as the entries above are zeroed or not read
+            coupled = np.flatnonzero(C[hi:, lo:hi].any(axis=1))
+            if len(coupled):
+                r0, r1 = hi + coupled[0], hi + coupled[-1] + 1
+                panel = C[r0:r1, lo:hi] @ X.T
+                C[r0:r1, lo:hi] = panel
+                for c0 in range(r0, r1, _BLOCK):
+                    c1 = min(c0 + _BLOCK, r1)
+                    C[c0:r1, c0:c1] -= panel[c0 - r0:] @ panel[c0 - r0:c1 - r0].T
     return C, inverses
 
 
@@ -303,10 +309,14 @@ def _band_order(a, b) -> np.ndarray:
         while head < len(order):
             c = order[head]
             head += 1
-            for e in pairs_at[al[c]] + pairs_at[bl[c]]:
-                if not seen[e]:
-                    seen[e] = True
-                    order.append(e)
+            for p in (al[c], bl[c]):
+                # the pairs at a point are all seen once it is visited, so
+                # each point is visited once: O(m) over a star, not O(m^2)
+                for e in pairs_at[p]:
+                    if not seen[e]:
+                        seen[e] = True
+                        order.append(e)
+                pairs_at[p] = ()
     return np.array(order)
 
 

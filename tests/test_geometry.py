@@ -16,7 +16,8 @@ from polydisc import (
     objective_gradient,
 )
 from polydisc.constructions import hexagon6, kite4, regular_ngon
-from polydisc.geometry import _log_discriminant, hull_indices, pairwise_distances, upper_pairs
+from polydisc.geometry import (_log_discriminant, hull_indices, log_delta_bar, pairwise_distances,
+                               upper_pairs)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -254,6 +255,20 @@ class TestPairKernels:
         d = pairwise_distances(random_config(np.random.default_rng(n), n).as_complex)
         off = d[~np.eye(n, dtype=bool)]
         assert _log_discriminant(d) == float(np.sum(np.log(off)))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_log_discriminant_leaves_distances_unchanged(self, n):
+        d = pairwise_distances(random_config(np.random.default_rng(n), n).as_complex)
+        before = d.copy()
+        _log_discriminant(d)
+        assert np.array_equal(d, before)
+
+    @pytest.mark.parametrize("gap", [0.5, 2.0])
+    def test_two_points_at_diameter_two(self, gap):
+        # two points rescaled to diameter 2: Delta = 2^2 = n^n
+        cfg = PointConfig([[0.0, 0.0], [gap, 0.0]])
+        assert log_delta_bar(cfg) == pytest.approx(0.0, abs=1e-15)
+        assert normalized_discriminant(cfg) == pytest.approx(1.0, rel=1e-15)
 
     @pytest.mark.parametrize("n", [3, 8, 60])
     def test_hull_matches_numpy_rows(self, n):

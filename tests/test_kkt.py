@@ -335,10 +335,12 @@ def test_band_order_is_a_narrow_permutation():
 
 
 @pytest.mark.parametrize("m", [65, 130, 200])
-def test_block_factor_matches_dense_cholesky(m):
-    # a random sparse pattern, not a band: fill-in spreads over later blocks
+@pytest.mark.parametrize("density", [0.02, 1.0])
+def test_block_factor_matches_dense_cholesky(m, density):
+    # a random sparse pattern, not a band: fill-in spreads over later blocks;
+    # a dense one updates every later row, a block of columns at a time
     rng = np.random.default_rng(m)
-    B = rng.normal(size=(m, m)) * (rng.uniform(size=(m, m)) < 0.02)
+    B = rng.normal(size=(m, m)) * (rng.uniform(size=(m, m)) < density)
     N = B @ B.T + np.eye(m)
     C, inverses = kkt._cholesky_factor(N)
     assert not np.triu(C, 1).any()
@@ -346,6 +348,15 @@ def test_block_factor_matches_dense_cholesky(m):
     r = rng.normal(size=m)
     assert np.abs(kkt._cholesky_solve(C, inverses, r) - np.linalg.solve(N, r)).max() \
         <= 1e-10 * np.abs(np.linalg.solve(N, r)).max()
+
+
+def test_band_order_of_a_star_and_a_path():
+    # the path 501-502-503 first, its pairs having the fewest neighbours;
+    # then the star: every pair shares point 0, so the first pair reaches
+    # all the others through it, in their order
+    a = np.r_[np.zeros(500, dtype=int), 502, 501]
+    b = np.r_[np.arange(1, 501), 503, 502]
+    assert kkt._band_order(a, b).tolist() == [500, 501] + list(range(500))
 
 
 def test_no_lapack_factor_larger_than_a_block():
