@@ -187,18 +187,15 @@ def cmd_evaluate(args) -> int:
     report = geometry.evaluate(cfg)
     delta_bar = geometry.normalized_discriminant(cfg, rescale_to_diameter=True)
     normalized = geometry.normalize_to_diameter(cfg, 2.0)
-    graph = diamgraph.extract(normalized, args.rel_tol)
-    gclass = diamgraph.classify(graph)
-    structure = diamgraph.maximizer_structure_report(normalized, args.rel_tol) \
-        if cfg.n >= 3 else None
+    structure = diamgraph.maximizer_structure_report(normalized, args.rel_tol)
     kreport = kkt.verify(normalized, args.rel_tol)
     print(f"n            = {report.n}")
     print(f"diameter     = {report.diameter:.17g}")
     print(f"log_delta    = {report.log_delta:.17g}")
     print(f"delta_bar    = {delta_bar:.17g}")
-    print(f"graph        = {graph.to_text()}")
-    print(f"class        = {gclass.kind.value}")
-    if structure is not None:
+    print(f"graph        = {structure.graph.to_text()}")
+    print(f"class        = {structure.graph_class.kind.value}")
+    if cfg.n >= 3:
         flags = " ".join(f"{k}={'T' if v else 'F'}" for k, v in structure.flags().items())
         print(f"structure    = {flags}")
     print(f"kkt_residual = {kreport.stationarity_residual:.3e}")

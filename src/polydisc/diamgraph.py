@@ -19,9 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidConfigError, SingularConfigError
-from .geometry import (PointConfig, _convex_position, _distinct, _row_blocks,
-                       pairwise_distances, upper_pairs)
+from .errors import InvalidConfigError
+from .geometry import (PointConfig, _convex_position, _distinct_distances,
+                       _row_blocks, pairwise_distances, upper_pairs)
 
 Edge = tuple[int, int]
 
@@ -265,13 +265,11 @@ def check_pairwise_intersection(config: PointConfig, graph: DiameterGraph) -> bo
     Shared endpoints count as one intersection; collinear positive-length
     overlap and disjointness both fail.
     """
-    return _pairwise_intersecting(config.points, pairwise_distances(config.as_complex), graph)
+    return _pairwise_intersecting(config.points, _distinct_distances(config), graph)
 
 
 def _pairwise_intersecting(pts: np.ndarray, d: np.ndarray, graph: DiameterGraph) -> bool:
-    """check_pairwise_intersection from the points and their distance matrix d."""
-    if not _distinct(d):
-        raise SingularConfigError("coincident points")
+    """check_pairwise_intersection from distinct points and their distance matrix d."""
     edges = sorted(graph.edges)
     m = len(edges)
     if m < 2:
@@ -445,7 +443,7 @@ class StructureReport:
 
 def maximizer_structure_report(config: PointConfig, rel_tol: float = 1e-9) -> StructureReport:
     """Evaluate every structural predicate a maximizer must satisfy."""
-    d = pairwise_distances(config.as_complex)
+    d = _distinct_distances(config)
     graph = _diameter_graph(d, rel_tol)
     components, blocks = _blocks(graph)
     gclass = _classify(graph, components, blocks)

@@ -144,6 +144,14 @@ def _distinct(d: np.ndarray) -> bool:
     return np.count_nonzero(d == 0.0) == len(d)
 
 
+def _distinct_distances(config: PointConfig) -> np.ndarray:
+    """The distance matrix of the configuration, whose points must be distinct."""
+    d = pairwise_distances(config.as_complex)
+    if not _distinct(d):
+        raise SingularConfigError("coincident points")
+    return d
+
+
 def _log_discriminant(d: np.ndarray) -> float:
     """Sum of the logs of the off-diagonal entries of the distance matrix d,
     -inf when one of them is zero."""
@@ -259,13 +267,11 @@ def is_convex_position(config: PointConfig) -> bool:
     """
     if config.n < 3:
         raise InvalidConfigError("convex position requires n >= 3")
-    return _convex_position(config.points, pairwise_distances(config.as_complex))
+    return _convex_position(config.points, _distinct_distances(config))
 
 
 def _convex_position(points: np.ndarray, d: np.ndarray) -> bool:
-    """is_convex_position from the points and their distance matrix d."""
-    if not _distinct(d):
-        raise SingularConfigError("coincident points")
+    """is_convex_position from distinct points and their distance matrix d."""
     return len(hull_indices(points, 1e-9 * float(d.max()) ** 2)) == len(points)
 
 

@@ -158,36 +158,37 @@ def _edge_stretching_permutation(n, edges, slots, rng):
     return perm
 
 
-# The merit kernels take a stack: z (..., n), lam and eq (..., n, n), mu (...).
-# eq is None when no pair of the stack is an equality target.  Each stack
+# The merit kernels take a stack: z (..., n), lam and lo (..., n, n), mu (...).
+# Pair (i, j) with g = q - 4 carries the penalty
+#     (max(lo, lam + mu g)^2 - lam^2) / 2 mu,
+# whose multiplier floor lo is 0 for the inequality g <= 0 and -inf for an
+# equality target g = 0, where the penalty is lam g + mu g^2 / 2.  Each stack
 # entry sees the element-wise operations and the reduction order of a single
 # (n, n) evaluation, so its value does not depend on the stack around it.
 
-def _merit_value(z, lam, mu, eq):
+def _merit_value(z, lam, mu, lo):
     _, q = _pair_sq(z)
     g = q - 4.0
     f = np.add.reduce(np.log(q), axis=(-2, -1)) / 2.0
     mu = mu[..., None, None]
-    pen = (np.maximum(0.0, lam + mu * g) ** 2 - lam * lam) / (2.0 * mu)
-    if eq is not None:
-        pen = np.where(eq, lam * g + 0.5 * mu * g * g, pen)
+    pen = (np.maximum(lo, lam + mu * g) ** 2 - lam * lam) / (2.0 * mu)
     return f - np.add.reduce(pen, axis=(-2, -1)) / 2.0
 
 
-def _merit_derivatives(z, lam, mu, eq):
+def _merit_derivatives(z, lam, mu, lo):
     """The merit's gradient, as complex d/dx + i d/dy per point, and its
     Hessian in x-then-y coordinates, from one pair pass.
 
-    A pair whose penalty is switched on (t = lam + mu g > 0, or an equality
-    target) adds mu grad g grad g^T + t hess g to the penalty's Hessian.
+    A pair whose penalty is switched on (t = lam + mu g > lo) adds
+    mu grad g grad g^T + t hess g to the penalty's Hessian.
     """
     diff, q = _pair_sq(z)
     g = q - 4.0
     grad_f = np.add.reduce(2.0 * diff / q, axis=-1)
     mu = mu[..., None, None]
     t = lam + mu * g
-    coef = np.maximum(0.0, t) if eq is None else np.where(eq, t, np.maximum(0.0, t))
-    on = t > 0.0 if eq is None else eq | (t > 0.0)
+    coef = np.maximum(lo, t)
+    on = t > lo
     grad = grad_f - np.add.reduce(2.0 * coef * diff, axis=-1)
     return grad, _pair_hessian(diff, q, coef, np.where(on, mu, 0.0))
 
@@ -243,7 +244,7 @@ def _newton_step(z, grad, hess):
     return step * np.minimum(1.0, _STEP_CAP / np.abs(step).max(axis=1))[:, None]
 
 
-def _line_search(z, direction, phi, lam, mu, eq):
+def _line_search(z, direction, phi, lam, mu, lo):
     """Per row, the first trial step 2^-k (k < 50) whose point
     z + step direction has a merit above phi.
 
@@ -255,8 +256,7 @@ def _line_search(z, direction, phi, lam, mu, eq):
     for first in range(0, len(_HALVINGS), _TRIALS_PER_CALL):
         steps = _HALVINGS[first:first + _TRIALS_PER_CALL, None]
         zt = z[sel, None] + steps * direction[sel, None]
-        phi_t = _merit_value(zt, lam[sel, None], mu[sel, None],
-                             None if eq is None else eq[sel, None])
+        phi_t = _merit_value(zt, lam[sel, None], mu[sel, None], lo[sel, None])
         better = phi_t > phi[sel, None]
         j = better.argmax(axis=1)
         hit = better.any(axis=1)
@@ -292,26 +292,27 @@ def _al_phase(z, eq, traces=None):
     _PENALTY_MAX.  Once every start of a round passes its gradient test, the
     round ends without computing a step.
 
-    ``eq`` is None or the (S, n, n) mask of equality pairs; ``traces``, when
-    given, holds one list per start that receives its accepted steps as
-    (round, iteration, merit, log Delta-bar).  Returns the final points, the
+    ``eq`` is the (S, n, n) mask of equality pairs: their multiplier floor
+    is -inf, every other pair's is 0.  ``traces``, when given, holds one list
+    per start that receives its accepted steps as (round, iteration, merit,
+    log Delta-bar).  Returns the final points, the
     (S, n, n) multiplier matrices and the iterations used per start.
     """
     S, n = z.shape
     z = z.copy()
     lam = np.zeros((S, n, n))
+    lo = np.where(eq, -np.inf, 0.0)
     mu = np.full(S, _PENALTY_INIT)
     viol_prev = np.full(S, math.inf)
     used = np.zeros(S, dtype=int)
     ids = np.arange(S)  # the starts still ascending
     for rnd in range(_ROUNDS):
         # the starts still stepping in this round, and their rows
-        live, zl, laml, mul = ids, z[ids], lam[ids], mu[ids]
-        eql = None if eq is None else eq[ids]
+        live, zl, laml, mul, lol = ids, z[ids], lam[ids], mu[ids], lo[ids]
         gtol = np.maximum(1e-9, 1e-3 / mul)
-        phi = _merit_value(zl, laml, mul, eql)
+        phi = _merit_value(zl, laml, mul, lol)
         for k in range(1, _ROUND_STEPS + 1):
-            d, hess = _merit_derivatives(zl, laml, mul, eql)
+            d, hess = _merit_derivatives(zl, laml, mul, lol)
             go = np.maximum.reduce(np.abs(d), axis=1) >= gtol
             if not go.any():  # every row passed its gradient test: no step
                 found, z_new = None, zl[go]
@@ -319,7 +320,7 @@ def _al_phase(z, eq, traces=None):
                 sub = slice(None) if go.all() else go
                 found, z_new, phi = _line_search(
                     zl[sub], _newton_step(zl[sub], d[sub], hess[sub]), phi[sub],
-                    laml[sub], mul[sub], None if eql is None else eql[sub])
+                    laml[sub], mul[sub], lol[sub])
             if found is not None:
                 go[go] = found
                 z_new, phi = z_new[found], phi[found]
@@ -327,8 +328,7 @@ def _al_phase(z, eq, traces=None):
                 stop = ~go
                 z[live[stop]] = zl[stop]
                 used[live[stop]] += k
-                live, laml, mul, gtol = live[go], laml[go], mul[go], gtol[go]
-                eql = None if eql is None else eql[go]
+                live, laml, mul, lol, gtol = live[go], laml[go], mul[go], lol[go], gtol[go]
             zl = z_new
             if traces is not None:
                 for i, zi, p in zip(live.tolist(), zl, phi):
@@ -341,11 +341,8 @@ def _al_phase(z, eq, traces=None):
         # multiplier and penalty update of the round's starts
         g = _pair_sq(z[ids])[1] - 4.0
         t = lam[ids] + mu[ids, None, None] * g
-        if eq is None:
-            viol, lam[ids] = np.maximum(0.0, g), np.maximum(0.0, t)
-        else:
-            viol = np.where(eq[ids], np.abs(g), np.maximum(0.0, g))
-            lam[ids] = np.where(eq[ids], t, np.maximum(0.0, t))
+        viol = np.where(eq[ids], np.abs(g), np.maximum(0.0, g))
+        lam[ids] = np.maximum(lo[ids], t)
         v = viol.max(axis=(1, 2))
         mu[ids[v > 0.25 * viol_prev[ids]]] *= _PENALTY_GROWTH
         viol_prev[ids] = v
@@ -403,7 +400,6 @@ def _newton_kkt(z, act, lam_matrix, keep):
     act = sorted(set(act))
     a, b = _pair_arrays(act)
     lam = lam_matrix[a, b]
-    iu = np.triu(np.ones((n, n), dtype=bool), 1)
     total_its = 0
     for _ in range(20):
         if lam is None:
@@ -441,12 +437,10 @@ def _newton_kkt(z, act, lam_matrix, keep):
             for _ in range(45 if nf < _NEWTON_FLOOR else _NEWTON_TRIALS):
                 zt = zz + (du[:n] + 1j * du[n:2 * n]) * t
                 lt = lm + du[2 * n:] * t
-                dm = pairwise_distances(zt)
-                np.fill_diagonal(dm, 1.0)
-                if dm.min() < 1e-7:
-                    t *= 0.5
-                    continue
-                F2, G2 = _kkt_F(zt, lt, a, b)
+                # coincident trial points give a non-finite residual, which
+                # fails the test below
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    F2, G2 = _kkt_F(zt, lt, a, b)
                 if np.abs(F2).max() < nf * (1 - 1e-4 * t) + 1e-15:
                     zz, lm, F, G = zt, lt, F2, G2
                     accepted = True
@@ -462,11 +456,9 @@ def _newton_kkt(z, act, lam_matrix, keep):
         # row-major order among equals), else drop the most negative
         # removable multiplier
         d = pairwise_distances(zz)
-        outside = iu & (d > 2.0 + 1e-10)
-        outside[a, b] = False
-        if outside.any():
-            worst = divmod(int(np.where(outside, d, -np.inf).argmax()), n)
-            act = sorted(set(act) | {worst})
+        outside = [p for p in upper_pairs(d > 2.0 + 1e-10) if p not in act]
+        if outside:
+            act = sorted(act + [max(outside, key=lambda p: d[p])])
         else:
             removable = [c for c, e in enumerate(act) if e not in keep and lm[c] < -1e-9]
             if not removable:
@@ -521,7 +513,7 @@ def _solve(n: int, opts: OptimizeOptions, edge_sets):
             for a, b in keep:
                 eq[r, a, b] = eq[r, b, a] = True
         traces = [[] for _ in part] if opts.record_trace else None
-        z, lam, used = _al_phase(z, eq if eq.any() else None, traces)
+        z, lam, used = _al_phase(z, eq, traces)
         results += [_polish(n, s, z[r], lam[r], used[r], keeps[r],
                             traces[r] if traces else None)
                     for r, (_, s) in enumerate(part)]

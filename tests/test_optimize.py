@@ -262,13 +262,50 @@ class TestNewtonWorkingSet:
         assert sets == [act] and ok and steps == 7
 
 
+class TestMerit:
+    # two starts whose pair (0, 1) is a prescribed edge, 2.1 and 1.8 long;
+    # every other pair is shorter than 1.3
+    z = np.array([[-e, e, 0.3j, 0.1 - 0.4j, 0.2 + 0.1j] for e in (1.05, 0.9)])
+    eq = np.zeros((2, 5, 5), bool)
+    eq[:, 0, 1] = eq[:, 1, 0] = True
+    lo = np.where(eq, -np.inf, 0.0)
+    edge_lam = np.where(eq, np.array([-0.3, 0.5])[:, None, None], 0.0)
+
+    def test_prescribed_edge_penalty(self):
+        # lam + mu g < 0 on the shorter edge, where an inequality would not
+        # penalize it; every other pair has a zero term
+        mu = np.array([10.0, 10.0])
+        merit = optimize._merit_value(self.z, self.edge_lam, mu, self.lo)
+        for s in range(2):
+            q = np.abs(self.z[s, :, None] - self.z[s, None, :]) ** 2
+            f = sum(math.log(q[i, j]) for i in range(5) for j in range(i + 1, 5))
+            g, lam = q[0, 1] - 4.0, self.edge_lam[s, 0, 1]
+            assert f - merit[s] == pytest.approx(lam * g + mu[s] * g * g / 2, rel=1e-12)
+
+    def test_gradient_matches_merit(self):
+        # the free pairs' t = q - 1 is at least 0.06 from the floor, on
+        # both sides of it
+        lam = self.edge_lam + np.where(self.eq, 0.0, 3.0 * (1 - np.eye(5)))
+        mu = np.array([1.0, 1.0])
+        grad, _ = optimize._merit_derivatives(self.z, lam, mu, self.lo)
+        h = 1e-6
+        moves = h * np.concatenate([np.eye(5), 1j * np.eye(5)])
+
+        def value(zt):
+            return optimize._merit_value(zt, lam[:, None], mu[:, None], self.lo[:, None])
+
+        fd = (value(self.z[:, None] + moves) - value(self.z[:, None] - moves)) / (2 * h)
+        exact = np.concatenate([grad.real, grad.imag], axis=1)
+        assert np.abs(fd - exact).max() <= 1e-6 * np.abs(exact).max()
+
+
 class TestNewtonAscent:
     def test_round_that_used_every_step_keeps_ascending(self, monkeypatch):
         # the regular hexagon at diameter 1 stays feasible through a
         # one-step round, far from stationary; it used to leave the ascent
         monkeypatch.setattr(optimize, "_ROUND_STEPS", 1)
         z = 0.5 * np.exp(2j * np.pi * np.arange(6) / 6)
-        z_out, _, used = optimize._al_phase(z[None], None)
+        z_out, _, used = optimize._al_phase(z[None], np.zeros((1, 6, 6), bool))
         assert used[0] > 1
         assert pairwise_distances(z_out[0]).max() > 1.5
 
