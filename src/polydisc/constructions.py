@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InfeasibleError, InvalidConfigError
-from .geometry import PointConfig, pairwise_distances
+from .geometry import PointConfig, _pair_rows
 
 SQRT3 = math.sqrt(3.0)
 OMEGA = cmath.exp(2j * math.pi / 3)  # primitive cube root of unity
@@ -293,10 +293,8 @@ def _triwave_points(n: int, m: int, t: float) -> np.ndarray:
 
 
 def _max_distance(z: np.ndarray) -> tuple[float, tuple[int, int]]:
-    d = pairwise_distances(z)
-    idx = int(np.argmax(d))
-    i, j = divmod(idx, d.shape[1])
-    return float(d[i, j]), (min(i, j), max(i, j))
+    found = _pair_rows(z, diameter=True)
+    return found.diameter, found.far
 
 
 def triwave(n: int, m_frequency: int = 3, amplitude: Optional[float] = None) -> TriwaveConfig:

@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidConfigError
-from .geometry import (PointConfig, _convex_position, _distinct_distances,
-                       _row_blocks, pairwise_distances, upper_pairs)
+from .geometry import (PointConfig, _convex_position, _distinct_pairs, _pair_rows,
+                       _row_blocks, _unit_scaled)
 
 Edge = tuple[int, int]
 
@@ -94,15 +94,16 @@ def parse_graph_text(text: str) -> DiameterGraph:
 
 def extract(config: PointConfig, rel_tol: float = 1e-9) -> DiameterGraph:
     """Edges = pairs within relative rel_tol of the largest pairwise distance."""
-    return _diameter_graph(pairwise_distances(config.as_complex), rel_tol)
+    return _diameter_graph(config, rel_tol)[0]
 
 
-def _diameter_graph(d: np.ndarray, rel_tol: float) -> DiameterGraph:
-    """extract from the configuration's distance matrix d."""
-    if len(d) < 2:
+def _diameter_graph(config: PointConfig, rel_tol: float, distinct: bool = False):
+    """extract, and the pass over the pairs that found the edges, which
+    first rejects coincident points when ``distinct``."""
+    if config.n < 2:
         raise InvalidConfigError("diameter graph requires n >= 2")
-    edges = frozenset(upper_pairs(d >= (1.0 - rel_tol) * d.max()))
-    return DiameterGraph(n=len(d), edges=edges)
+    found = (_distinct_pairs if distinct else _pair_rows)(config.as_complex, edges=rel_tol)
+    return DiameterGraph(n=config.n, edges=frozenset(found.edges)), found
 
 
 def _blocks(graph: DiameterGraph) -> tuple[int, list[list[Edge]]]:
@@ -265,16 +266,17 @@ def check_pairwise_intersection(config: PointConfig, graph: DiameterGraph) -> bo
     Shared endpoints count as one intersection; collinear positive-length
     overlap and disjointness both fail.
     """
-    return _pairwise_intersecting(config.points, _distinct_distances(config), graph)
+    diam = _distinct_pairs(config.as_complex, diameter=True).diameter
+    return _pairwise_intersecting(config.points, diam, graph)
 
 
-def _pairwise_intersecting(pts: np.ndarray, d: np.ndarray, graph: DiameterGraph) -> bool:
-    """check_pairwise_intersection from distinct points and their distance matrix d."""
+def _pairwise_intersecting(pts: np.ndarray, diam: float, graph: DiameterGraph) -> bool:
+    """check_pairwise_intersection from distinct points and their diameter."""
     edges = sorted(graph.edges)
     m = len(edges)
     if m < 2:
         return True
-    scale = float(d.max())
+    pts, scale = _unit_scaled(pts, diam)
     eps_len = 1e-9 * scale
     a, b = np.array(edges).T
     signs = _orientation_signs(pts, a, b, 1e-9 * scale ** 2)
@@ -443,8 +445,7 @@ class StructureReport:
 
 def maximizer_structure_report(config: PointConfig, rel_tol: float = 1e-9) -> StructureReport:
     """Evaluate every structural predicate a maximizer must satisfy."""
-    d = _distinct_distances(config)
-    graph = _diameter_graph(d, rel_tol)
+    graph, found = _diameter_graph(config, rel_tol, distinct=True)
     components, blocks = _blocks(graph)
     gclass = _classify(graph, components, blocks)
     return StructureReport(
@@ -452,8 +453,9 @@ def maximizer_structure_report(config: PointConfig, rel_tol: float = 1e-9) -> St
         min_degree_ok=min(graph.degrees()) >= 1 if graph.n else True,
         connected=components <= 1,
         no_even_cycle=not _blocks_have_even_cycle(blocks),
-        pairwise_intersecting=_pairwise_intersecting(config.points, d, graph),
-        convex_position=_convex_position(config.points, d) if config.n >= 3 else True,
+        pairwise_intersecting=_pairwise_intersecting(config.points, found.diameter, graph),
+        convex_position=(_convex_position(config.points, found.diameter)
+                         if config.n >= 3 else True),
         class_ok=gclass.kind in (GraphKind.CATERPILLAR, GraphKind.ODD_CYCLE_WITH_PENDANTS),
         graph=graph,
         graph_class=gclass,

@@ -68,12 +68,10 @@ class PointConfig:
     def min_pairwise_distance(self) -> float:
         if self.n < 2:
             return math.inf
-        d = pairwise_distances(self.as_complex)
-        np.fill_diagonal(d, np.inf)
-        return float(d.min())
+        return _pair_rows(self.as_complex, nearest=True).nearest
 
     def is_distinct(self) -> bool:
-        return _distinct(pairwise_distances(self.as_complex))
+        return self.n < 2 or _pair_rows(self.as_complex, nearest=True).nearest > 0.0
 
 
 @dataclass(frozen=True)
@@ -101,69 +99,149 @@ def _row_blocks(rows: int, cols: int | None = None) -> list[slice]:
 
 def pairwise_distances(z: np.ndarray) -> np.ndarray:
     """Full (n, n) matrix of |z_i - z_j| with zeros on the diagonal."""
-    return _pair_rows(z, sums=False)[0]
-
-
-def _pair_rows(z, distances: bool = True, sums: bool = True):
-    """One pass over the pairs of z, a block of rows at a time, forming each
-    block of differences z_j - z_k once.
-
-    Returns (d, L): the (n, n) matrix d of |z_j - z_k| when ``distances``,
-    and the stationarity sums L of stationarity_lhs when ``sums``, else None
-    in their place.  The sums of coordinates past 2^1000 come from the points
-    prescaled by 2^-600, where a difference that overflows stays finite.
-    """
     z = np.asarray(z, dtype=complex)
-    n = len(z)
-    d = np.empty((n, n)) if distances else None
-    L = np.empty(n, dtype=complex) if sums else None
-    huge = sums and np.maximum(np.abs(z.real), np.abs(z.imag)).max(initial=0.0) > _HUGE
-    zs = z * _PRESCALE if huge else z
-    # differences past the float range are inf; callers reject non-finite sums
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for rows in _row_blocks(n):
-            if distances:
-                diff = z[None, :] - z[rows, None]  # [k, j] = z_j - z_k
-                np.abs(diff, out=d[rows])
-            if sums:
-                if huge or not distances:
-                    diff = zs[None, :] - zs[rows, None]
-                k = np.arange(rows.start, rows.stop)
-                diff[k - rows.start, k] = 1.0
-                np.divide(1.0, diff, out=diff)
-                diff[k - rows.start, k] = 0.0
-                L[rows] = diff.sum(axis=1)
-            # freed before the next block is made, so that the allocator hands
-            # back the same pages, not fresh ones that fault in on first write
-            del diff
-    return d, (L * _PRESCALE if huge else L)
-
-
-def _distinct(d: np.ndarray) -> bool:
-    """True iff the distance matrix d has no zero off its diagonal."""
-    return np.count_nonzero(d == 0.0) == len(d)
-
-
-def _distinct_distances(config: PointConfig) -> np.ndarray:
-    """The distance matrix of the configuration, whose points must be distinct."""
-    d = pairwise_distances(config.as_complex)
-    if not _distinct(d):
-        raise SingularConfigError("coincident points")
+    d = np.empty((len(z), len(z)))
+    _pair_rows(z, out=d)
     return d
 
 
-def _log_discriminant(d: np.ndarray) -> float:
-    """Sum of the logs of the off-diagonal entries of the distance matrix d,
-    -inf when one of them is zero."""
-    # row-major, the entries after each diagonal entry up to the next one:
-    # the off-diagonal entries in order, without an n x n mask.  flatten, not
-    # ravel: at n = 2 the slice is contiguous, and the logs below would be
-    # taken in d itself
-    n = len(d)
-    off = d.ravel()[1:].reshape(n - 1, n + 1)[:, :-1].flatten()
-    if (off == 0.0).any():
-        return -math.inf
-    return float(np.sum(np.log(off, out=off)))
+@dataclass
+class _Pairs:
+    """The reductions of one pass over the pairs; None where not asked for."""
+
+    sums: np.ndarray | None = None
+    diameter: float | None = None
+    far: tuple[int, int] | None = None
+    nearest: float | None = None
+    log_sum: float | None = None
+    active: list | None = None
+    edges: list | None = None
+
+
+def _pair_rows(z, *, out=None, sums=False, diameter=False, nearest=False, logs=False,
+               active=None, edges=None) -> _Pairs:
+    """One pass over the pairs of z, a block of rows at a time, forming each
+    block of differences z_j - z_k once and taking from it what is asked for:
+
+    - ``out``: an (n, n) array that receives the distances |z_j - z_k|;
+    - ``sums``: the stationarity sums L of stationarity_lhs;
+    - ``diameter``: the largest distance, and ``far``, the first pair (i < j)
+      in row-major order at it;
+    - ``nearest``: the smallest distance off the diagonal, 0 when two points
+      coincide;
+    - ``logs``: ``log_sum``, the sum of the logs of the distances off the
+      diagonal, -inf when one is 0, and ``nearest``;
+    - ``active``: the pairs (i < j) with squared distance at least
+      4 (1 - active), in row-major order;
+    - ``edges``: the pairs (i < j) with distance at least (1 - edges) times
+      the diameter, in row-major order, and ``diameter``.
+
+    No n x n array is held unless ``out`` is one.  The smallest distance
+    comes from the copy of a block's off-diagonal entries that the logs are
+    taken in, or else from the block with its diagonal set to inf for the
+    while.  A block's edges are its pairs past the cut of the largest
+    distance so far, kept with their distances and filtered against the
+    final cut at the end.  The logs of a block are summed in one call, so at
+    n <= 512, one block, log_sum is the sum over the whole matrix.  The sums
+    of coordinates past 2^1000 come from the points prescaled by 2^-600,
+    where a difference that overflows stays finite.
+    """
+    z = np.asarray(z, dtype=complex)
+    n = len(z)
+    blocks = _row_blocks(n)
+    diameter = diameter or edges is not None
+    nearest = nearest or logs
+    distances = out is not None or diameter or nearest or active is not None
+    buf = np.empty((blocks[0].stop, n)) if distances and out is None and n else None
+    L = np.empty(n, dtype=complex) if sums else None
+    huge = sums and np.maximum(np.abs(z.real), np.abs(z.imag)).max(initial=0.0) > _HUGE
+    zs = z * _PRESCALE if huge else z
+    top, far, low, log_sum = -math.inf, None, math.inf, 0.0
+    pairs, found = [], []
+    # differences past the float range are inf; callers reject non-finite sums
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for rows in blocks:
+            lo = rows.start
+            if sums or nearest and not logs:
+                diagonal = (np.arange(rows.stop - lo), np.arange(lo, rows.stop))
+            if distances or not huge:
+                diff = z[None, :] - z[rows, None]  # [k, j] = z_j - z_k
+            if distances:
+                d = np.abs(diff, out=buf[:rows.stop - lo] if out is None else out[rows])
+            if sums:
+                if huge:
+                    diff = zs[None, :] - zs[rows, None]
+                diff[diagonal] = 1.0
+                np.divide(1.0, diff, out=diff)
+                diff[diagonal] = 0.0
+                L[rows] = diff.sum(axis=1)
+            # freed before the next temporary is made, so that the allocator
+            # hands back the same pages, not fresh ones that fault in on first
+            # write
+            del diff
+            if not distances:
+                continue
+            if diameter:
+                at = int(d.argmax())
+                if d.flat[at] > top:
+                    top = float(d.flat[at])
+                    i, j = divmod(at, n)
+                    far = (min(lo + i, j), max(lo + i, j))
+            if logs:
+                off = _off_diagonal(d, lo)
+                low = min(low, float(off.min()))
+                if low > 0.0:
+                    log_sum += float(np.sum(np.log(off, out=off)))
+                del off
+            elif nearest:
+                d[diagonal] = np.inf
+                low = min(low, float(d.min()))
+                d[diagonal] = 0.0
+            if active is not None:
+                pairs += upper_pairs(np.square(d) >= 4.0 * (1.0 - active), lo)
+            if edges is not None:
+                block = upper_pairs(d >= (1.0 - edges) * top, lo)
+                # the last block's cut is the final one
+                found.append((block, [d[i - lo, j] for i, j in block]
+                              if rows.stop < n else None))
+    result = _Pairs()
+    if sums:
+        result.sums = L * _PRESCALE if huge else L
+    if diameter:
+        result.diameter, result.far = top, far
+    if nearest:
+        result.nearest = low
+    if logs:
+        result.log_sum = log_sum if low > 0.0 else -math.inf
+    if active is not None:
+        result.active = pairs
+    if edges is not None:
+        cut = (1.0 - edges) * top
+        result.edges = []
+        for block, dist in found:
+            result.edges += block if dist is None else [p for p, x in zip(block, dist) if x >= cut]
+    return result
+
+
+def _off_diagonal(block: np.ndarray, lo: int) -> np.ndarray:
+    """The entries of the rows lo, lo + 1, ... of a square matrix that lie
+    off its diagonal, in row-major order, as one new array."""
+    # between two diagonal entries of the block lie n entries: the rows after
+    # the first diagonal entry, one column longer, without their last column
+    r, n = block.shape
+    flat = block.ravel()
+    end = lo + (r - 1) * (n + 1) + 1  # just past the block's last diagonal entry
+    return np.concatenate((flat[:lo], flat[lo + 1:end].reshape(r - 1, n + 1)[:, :-1],
+                           flat[end:]), axis=None)
+
+
+def _distinct_pairs(z, **reductions) -> _Pairs:
+    """_pair_rows of points z that must be distinct; it also takes the
+    smallest distance."""
+    found = _pair_rows(z, nearest=True, **reductions)
+    if found.nearest == 0.0:
+        raise SingularConfigError("coincident points")
+    return found
 
 
 def discriminant(config: PointConfig) -> tuple[float, float]:
@@ -178,7 +256,7 @@ def discriminant(config: PointConfig) -> tuple[float, float]:
     """
     if config.n <= 1:
         return 1.0, 0.0
-    log_delta = _log_discriminant(pairwise_distances(config.as_complex))
+    log_delta = _pair_rows(config.as_complex, logs=True).log_sum
     return _exp(log_delta), log_delta
 
 
@@ -186,7 +264,7 @@ def diameter(config: PointConfig) -> float:
     """Largest pairwise distance. Requires n >= 2."""
     if config.n < 2:
         raise InvalidConfigError("diameter requires at least 2 points")
-    return float(pairwise_distances(config.as_complex).max())
+    return _pair_rows(config.as_complex, diameter=True).diameter
 
 
 def normalize_to_diameter(config: PointConfig, target: float = 2.0) -> PointConfig:
@@ -224,10 +302,10 @@ def normalized_discriminant(config: PointConfig, rescale_to_diameter: bool = Tru
         raise InvalidConfigError("normalized discriminant requires n >= 1")
     if n == 1:
         return 1.0
-    d = pairwise_distances(config.as_complex)
-    log_delta = _log_discriminant(d)
+    found = _pair_rows(config.as_complex, logs=True, diameter=rescale_to_diameter)
+    log_delta = found.log_sum
     if rescale_to_diameter:
-        log_delta += n * (n - 1) * math.log(_rescale_factor(float(d.max())))
+        log_delta += n * (n - 1) * math.log(_rescale_factor(found.diameter))
     return _exp(log_delta - n * math.log(n))
 
 
@@ -236,9 +314,8 @@ def log_delta_bar(config: PointConfig) -> float:
     n = config.n
     if n < 2:
         raise InvalidConfigError("log_delta_bar requires n >= 2")
-    d = pairwise_distances(config.as_complex)
-    log_delta = _log_discriminant(d)
-    diam = float(d.max())
+    found = _pair_rows(config.as_complex, logs=True, diameter=True)
+    log_delta, diam = found.log_sum, found.diameter
     if diam == 0.0 or log_delta == -math.inf:
         return -math.inf
     return log_delta + n * (n - 1) * math.log(_rescale_factor(diam)) - n * math.log(n)
@@ -250,11 +327,11 @@ def evaluate(config: PointConfig) -> EvalReport:
     n = config.n
     if n < 2:
         raise InvalidConfigError("evaluate requires n >= 2")
-    d = pairwise_distances(config.as_complex)
-    diam = float(d.max())
+    found = _pair_rows(config.as_complex, logs=True, diameter=True)
+    diam = found.diameter
     if diam == 0.0:
         raise InvalidConfigError("zero-diameter configuration")
-    log_delta = _log_discriminant(d)
+    log_delta = found.log_sum
     return EvalReport(n=n, delta=_exp(log_delta), log_delta=log_delta,
                       delta_bar=_exp(log_delta - n * math.log(n)), diameter=diam)
 
@@ -267,12 +344,25 @@ def is_convex_position(config: PointConfig) -> bool:
     """
     if config.n < 3:
         raise InvalidConfigError("convex position requires n >= 3")
-    return _convex_position(config.points, _distinct_distances(config))
+    return _convex_position(config.points,
+                            _distinct_pairs(config.as_complex, diameter=True).diameter)
 
 
-def _convex_position(points: np.ndarray, d: np.ndarray) -> bool:
-    """is_convex_position from distinct points and their distance matrix d."""
-    return len(hull_indices(points, 1e-9 * float(d.max()) ** 2)) == len(points)
+def _convex_position(points: np.ndarray, diam: float) -> bool:
+    """is_convex_position from distinct points and their diameter."""
+    points, diam = _unit_scaled(points, diam)
+    return len(hull_indices(points, 1e-9 * diam ** 2)) == len(points)
+
+
+def _unit_scaled(points: np.ndarray, diam: float) -> tuple[np.ndarray, float]:
+    """The points and their diameter diam scaled by the power of two that
+    brings diam into [0.5, 1).
+
+    The scaling is exact, so a test whose thresholds scale with diam or its
+    square gives the same verdict on the scaled points as on the points
+    themselves, wherever the latter neither overflows nor underflows."""
+    e = math.frexp(diam)[1]
+    return np.ldexp(points, -e), math.ldexp(diam, -e)
 
 
 def hull_indices(points: np.ndarray, eps: float) -> list[int]:
@@ -306,11 +396,15 @@ def hull_indices(points: np.ndarray, eps: float) -> list[int]:
     return chain(order)[:-1] + chain(order[::-1])[:-1]
 
 
-def upper_pairs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Pairs (i, j) with i < j where the (n, n) mask holds, in row-major order."""
+def upper_pairs(mask: np.ndarray, lo: int = 0) -> list[tuple[int, int]]:
+    """Pairs (i, j) with i < j where the (n, n) mask holds, in row-major order.
+
+    A mask of fewer rows holds the rows lo, lo + 1, ... of the (n, n) one."""
     # masks of pairs are sparse: cheaper than a triu copy, and the flat
     # indices cheaper than np.nonzero's two, in the same row-major order
     i, j = np.divmod(np.flatnonzero(mask), mask.shape[1])
+    if lo:
+        i += lo
     upper = i < j
     return list(zip(i[upper].tolist(), j[upper].tolist()))
 
@@ -322,10 +416,9 @@ def objective_gradient(config: PointConfig) -> np.ndarray:
     """
     if config.n < 2:
         raise InvalidConfigError("gradient requires n >= 2")
-    if not config.is_distinct():
-        raise SingularConfigError("coincident points make the objective singular")
+    L = _distinct_pairs(config.as_complex, sums=True).sums
     with np.errstate(over="ignore", invalid="ignore"):
-        g = -2.0 * np.conj(stationarity_lhs(config.as_complex))
+        g = -2.0 * np.conj(L)
     if not np.isfinite(g).all():
         raise SingularConfigError("the gradient is past the float range")
     out = np.empty(2 * config.n)
@@ -345,7 +438,7 @@ def stationarity_lhs(z: np.ndarray) -> np.ndarray:
     L is homogeneous of degree -1 and the scaling is exact, so the sums are
     then scaled by 2^-600 too.
     """
-    return _pair_rows(z, distances=False)[1]
+    return _pair_rows(z, sums=True).sums
 
 
 def _pair_sq(z):

@@ -20,9 +20,9 @@ banded, and factored a block of columns at a time, each block updating only
 the later rows coupled to it.  Numerically dependent columns, or products
 past the float range, fall back to np.linalg.lstsq on the dense system.
 verify and recover_multipliers take one pass over the pairs
-(geometry._pair_rows): each block of pair differences gives the distances,
-for the distinctness test and the active set, and the reciprocals of the
-stationarity sums.
+(geometry._pair_rows) and hold no n x n array: each block of pair
+differences gives the distances, for the distinctness test and the active
+set, and the reciprocals of the stationarity sums.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, SingularConfigError
-from .geometry import (PointConfig, _distinct, _pair_rows, _row_blocks,
-                       pairwise_distances, stationarity_lhs, upper_pairs)
+from .geometry import PointConfig, _distinct_pairs, _pair_rows
+from .geometry import stationarity_lhs  # noqa: F401, re-exported
 
 Pair = tuple[int, int]
 
@@ -60,15 +60,7 @@ def active_set(config: PointConfig, rel_tol: float = 1e-9) -> list[Pair]:
 
     The configuration is expected to be normalized to diameter 2.
     """
-    return _active_pairs(pairwise_distances(config.as_complex), rel_tol)
-
-
-def _active_pairs(d: np.ndarray, rel_tol: float) -> list[Pair]:
-    """active_set from the configuration's distance matrix."""
-    active = np.empty(d.shape, dtype=bool)
-    for rows in _row_blocks(len(d)):
-        np.greater_equal(d[rows] ** 2, 4.0 * (1.0 - rel_tol), out=active[rows])
-    return upper_pairs(active)
+    return _pair_rows(config.as_complex, active=rel_tol).active
 
 
 def _pair_arrays(pairs):
@@ -106,9 +98,11 @@ def _constraint_gaps(z, a, b):
     """|z_a - z_b|^2 - 4 per pair."""
     # rounded like the scalar abs(w) ** 2: np.hypot is the scalar complex
     # abs, and the float power (libm pow) can differ from the vectorized
-    # square in the last bit, which Newton would carry into its result
+    # square in the last bit, which Newton would carry into its result.  Past
+    # the float range the power raises OverflowError, and the product is inf
     w = z[a] - z[b]
-    return np.array([x ** 2 for x in np.hypot(w.real, w.imag).tolist()]) - 4.0
+    return np.array([x ** 2 if x < 1e150 else x * x
+                     for x in np.hypot(w.real, w.imag).tolist()]) - 4.0
 
 
 def _column_sum(w, a, b, x, n):
@@ -158,13 +152,13 @@ def _cholesky_factor(N):
     blocks of _BLOCK rows.  Raises LinAlgError when N is not numerically
     positive definite.
 
-    The factor is right-looking, a block of columns at a time, in a copy of
-    N: np.linalg.cholesky factors the diagonal block, and only the span of
-    later rows coupled to the block takes its panel and the Schur update, in
-    place, on the lower triangle, a block of columns at a time.  A banded N,
-    as _fit orders it, then costs O(m) blocks, and a dense one makes no
-    temporary larger than a block of columns.  LAPACK sees no matrix larger
-    than a block, so none copies the whole of N.
+    The factor is right-looking, a block of columns at a time, in place of
+    N, which it overwrites: np.linalg.cholesky factors the diagonal block,
+    and only the span of later rows coupled to the block takes its panel and
+    the Schur update, in place, on the lower triangle, a block of columns at
+    a time.  A banded N, as _fit orders it, then costs O(m) blocks, and a
+    dense one makes no temporary larger than a block of columns.  LAPACK
+    sees no matrix larger than a block, so none copies the whole of N.
 
     The blocks are inverted by substitution row by row, not by
     np.linalg.solve, so the solves take only matrix products: the first call
@@ -172,7 +166,7 @@ def _cholesky_factor(N):
     more peak memory on an optimizer run)."""
     m = len(N)
     floor = _PIVOT_FLOOR * np.diag(N).max(initial=0.0)
-    C = N.copy()
+    C = N
     inverses = []
     for lo in range(0, m, _BLOCK):
         hi = lo + _BLOCK
@@ -221,8 +215,8 @@ def _cholesky_solve(C, inverses, r):
 def _normal_solve(N, Atg, w, a, b, g):
     """Least-squares weights of the columns (w, a, b) for g from the normal
     equations N x = Atg, plus one step of iterative refinement on the
-    residual taken from the columns themselves.  Raises LinAlgError when N
-    is not numerically positive definite."""
+    residual taken from the columns themselves.  N is factored in place.
+    Raises LinAlgError when N is not numerically positive definite."""
     C, inverses = _cholesky_factor(N)
     x = _cholesky_solve(C, inverses, Atg)
     r = g - _column_sum(w, a, b, x, len(g))
@@ -242,6 +236,9 @@ def _nnls_project_resolve(w, a, b, g) -> np.ndarray:
     the case for dependent columns (more than 2n - 3 of them always are: the
     columns are the pair gradients, up to the signs of the rows, and each is
     blind to the three rigid motions) and for products past the float range.
+    The first solve factors the normal matrix in place, and a refit builds
+    that of its support anew, with the same entries: each is one product, or
+    on the diagonal the sum of two equal ones.
     """
     n = len(g)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -249,13 +246,14 @@ def _nnls_project_resolve(w, a, b, g) -> np.ndarray:
         normal = np.isfinite(N).all() and np.isfinite(Atg).all()
     dense = None
 
-    def solve(support):
+    def solve(support, N=None):
         nonlocal dense
         if dense is None and normal and support.sum() <= 2 * n - 3:
             cols = np.flatnonzero(support)
+            if N is None:
+                N = _normal_matrix(w[cols], a[cols], b[cols])
             try:
-                return _normal_solve(N if support.all() else N[np.ix_(cols, cols)],
-                                     Atg[cols], w[cols], a[cols], b[cols], g)
+                return _normal_solve(N, Atg[cols], w[cols], a[cols], b[cols], g)
             except np.linalg.LinAlgError:
                 pass
         if dense is None:
@@ -263,7 +261,8 @@ def _nnls_project_resolve(w, a, b, g) -> np.ndarray:
         A, y = dense
         return np.linalg.lstsq(A if support.all() else A[:, support], y, rcond=None)[0]
 
-    lam = solve(np.ones(len(w), dtype=bool))
+    lam = solve(np.ones(len(w), dtype=bool), N)
+    del N
     for _ in range(len(w) + 2):
         if (lam >= -1e-12).all():
             break
@@ -273,14 +272,6 @@ def _nnls_project_resolve(w, a, b, g) -> np.ndarray:
             refit[support] = solve(support)
         lam = refit
     return np.maximum(lam, 0.0)
-
-
-def _distances_and_sums(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distance matrix and the stationarity sums of distinct points z."""
-    d, L = _pair_rows(z)
-    if not _distinct(d):
-        raise SingularConfigError("coincident points")
-    return d, L
 
 
 def _band_order(a, b) -> np.ndarray:
@@ -348,7 +339,7 @@ def recover_multipliers(config: PointConfig, active) -> tuple[dict, float]:
     left-hand side: no stationarity is possible unless the gradient vanishes.
     """
     z = config.as_complex
-    L = _distances_and_sums(z)[1]
+    L = _distinct_pairs(z, sums=True).sums
     active = [(min(a, b), max(a, b)) for a, b in active]
     lam, resid = _fit(z, *_pair_arrays(active), L)
     return dict(zip(active, lam.tolist())), float(np.abs(resid).max())
@@ -359,11 +350,10 @@ def verify(config: PointConfig, rel_tol: float = 1e-9) -> KKTReport:
     if config.n < 2:
         raise InvalidConfigError("need n >= 2")
     z = config.as_complex
-    d, L = _distances_and_sums(z)
-    act = _active_pairs(d, rel_tol)
-    del d
+    found = _distinct_pairs(z, sums=True, active=rel_tol)
+    act = found.active
     a, b = _pair_arrays(act)
-    lam, resid = _fit(z, a, b, L)
+    lam, resid = _fit(z, a, b, found.sums)
     comp = float(np.abs(lam * _constraint_gaps(z, a, b)).max(initial=0.0))
     degree = np.bincount(np.concatenate([a, b]), minlength=config.n)
     multipliers = dict(zip(act, lam.tolist()))

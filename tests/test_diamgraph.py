@@ -19,7 +19,7 @@ from polydisc import (
     maximizer_structure_report,
     parse_graph_text,
 )
-from polydisc.constructions import arc_polygon, hexagon6, kite4, regular_ngon, triwave
+from polydisc.constructions import arc_polygon, dodecagon12, hexagon6, kite4, regular_ngon, triwave
 
 SQUARE = PointConfig([[1, 0], [0, 1], [-1, 0], [0, -1]])
 
@@ -329,6 +329,20 @@ class TestStructureReport:
         report = maximizer_structure_report(hexagon6())
         assert report.all_ok
         assert report.graph_class.detail == 3
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-170])
+    @pytest.mark.parametrize("build", [kite4, hexagon6, lambda: dodecagon12()[1],
+                                       lambda: regular_ngon(7)],
+                             ids=["kite4", "hexagon6", "dodecagon12", "regular7"])
+    def test_report_does_not_depend_on_scale(self, build, scale):
+        # the turn and orientation tests run on the points scaled by a power
+        # of two near the diameter: unscaled, the squared diameter overflows
+        # at 1e160, and the turn threshold and cross products underflow to 0
+        # at 1e-170
+        config = build()
+        report = maximizer_structure_report(PointConfig(config.points * scale))
+        assert report == maximizer_structure_report(config)
+        assert report.all_ok
 
 
 class TestTextFormat:

@@ -16,8 +16,8 @@ from polydisc import (
     objective_gradient,
 )
 from polydisc.constructions import hexagon6, kite4, regular_ngon
-from polydisc.geometry import (_log_discriminant, hull_indices, log_delta_bar, pairwise_distances,
-                               upper_pairs)
+from polydisc import geometry
+from polydisc.geometry import hull_indices, log_delta_bar, pairwise_distances, upper_pairs
 
 SQRT3 = math.sqrt(3.0)
 
@@ -252,16 +252,21 @@ class TestPairKernels:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 40])
     def test_log_discriminant_matches_masked_sum(self, n):
-        d = pairwise_distances(random_config(np.random.default_rng(n), n).as_complex)
-        off = d[~np.eye(n, dtype=bool)]
-        assert _log_discriminant(d) == float(np.sum(np.log(off)))
+        # one block of rows: the logs are summed in one call, as over the
+        # whole matrix
+        z = random_config(np.random.default_rng(n), n).as_complex
+        off = pairwise_distances(z)[~np.eye(n, dtype=bool)]
+        assert geometry._pair_rows(z, logs=True).log_sum == float(np.sum(np.log(off)))
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_log_discriminant_leaves_distances_unchanged(self, n):
-        d = pairwise_distances(random_config(np.random.default_rng(n), n).as_complex)
-        before = d.copy()
-        _log_discriminant(d)
-        assert np.array_equal(d, before)
+        # the logs are taken in a copy of the block, not in the distances
+        # written out, and the diameter is read before them
+        z = random_config(np.random.default_rng(n), n).as_complex
+        d = np.empty((n, n))
+        found = geometry._pair_rows(z, out=d, logs=True, diameter=True)
+        assert np.array_equal(d, np.abs(z[:, None] - z[None, :]))
+        assert found.diameter == d.max()
 
     @pytest.mark.parametrize("gap", [0.5, 2.0])
     def test_two_points_at_diameter_two(self, gap):

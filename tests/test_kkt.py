@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -15,7 +16,7 @@ from polydisc import (
     regular_ngon,
     verify,
 )
-from polydisc import diamgraph, geometry, kkt
+from polydisc import constructions, diamgraph, geometry, kkt
 from polydisc.constructions import arc_polygon, dodecagon12, hexagon6, kite4, triwave
 from polydisc.geometry import normalize_to_diameter
 from polydisc.kkt import stationarity_lhs
@@ -254,20 +255,41 @@ def test_dependent_columns_take_the_lstsq_path(points):
 
 
 def test_overflowing_normal_equations_fall_back():
-    # pair differences near 1e160 square past the float range
+    # pair differences near 1e160 square past the float range: every pair
+    # is active, and the gaps to the diameter 2 are inf
     active = active_set(regular_ngon(5))
     config = PointConfig(regular_ngon(5).points * 1e160)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
             lam, residual = recover_multipliers(config, active)
+        every_pair = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        assert active_set(config) == every_pair
+        report = verify(config)
+    assert report.active_set == tuple(every_pair)
+    assert report.min_multiplier > 0.0 and report.complementarity_violation == math.inf
     assert lstsq.called
     ref_lam, ref_residual = _loop_fit(config, active)
     assert list(lam.values()) == ref_lam
     assert residual <= ref_residual + max(1e-12, 1e-9 * ref_residual)
 
 
-@pytest.mark.parametrize("check", [verify, maximizer_structure_report, log_delta_bar])
+NONAGON_GRAPH = diamgraph.extract(regular_ngon(9))
+
+
+@pytest.mark.parametrize("check", [
+    verify, maximizer_structure_report, log_delta_bar,
+    *(pytest.param(f, id=f.__name__) for f in (
+        geometry.diameter, geometry.normalize_to_diameter, geometry.evaluate,
+        geometry.discriminant, geometry.normalized_discriminant, geometry.is_convex_position,
+        geometry.objective_gradient, active_set, diamgraph.extract)),
+    pytest.param(lambda c: recover_multipliers(c, [(0, 4)]), id="recover_multipliers"),
+    pytest.param(lambda c: diamgraph.check_pairwise_intersection(c, NONAGON_GRAPH),
+                 id="check_pairwise_intersection"),
+    pytest.param(PointConfig.is_distinct, id="is_distinct"),
+    pytest.param(PointConfig.min_pairwise_distance, id="min_pairwise_distance"),
+    pytest.param(lambda c: constructions._max_distance(c.as_complex), id="_max_distance"),
+])
 def test_one_distance_matrix_per_check(check):
     # every pass over the pairs counts, the stationarity sums' as well as the
     # distance matrix's: verify takes both from one
@@ -278,9 +300,24 @@ def test_one_distance_matrix_per_check(check):
         return real(z, *args, **kwargs)
 
     with mock.patch.object(geometry, "_pair_rows", counted), \
-            mock.patch.object(kkt, "_pair_rows", counted):
+            mock.patch.object(kkt, "_pair_rows", counted), \
+            mock.patch.object(diamgraph, "_pair_rows", counted), \
+            mock.patch.object(constructions, "_pair_rows", counted):
         check(regular_ngon(9))
     assert calls == [9]
+
+
+@pytest.mark.parametrize("check", [log_delta_bar, verify, maximizer_structure_report])
+def test_no_distance_matrix_held(check):
+    # the distance matrix of the regular 2000-gon takes 32 MB
+    config = regular_ngon(2000)
+    tracemalloc.start()
+    try:
+        check(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 ** 2 * 8 / 2
 
 
 def _relabeled(config, seed):
@@ -342,7 +379,7 @@ def test_block_factor_matches_dense_cholesky(m, density):
     rng = np.random.default_rng(m)
     B = rng.normal(size=(m, m)) * (rng.uniform(size=(m, m)) < density)
     N = B @ B.T + np.eye(m)
-    C, inverses = kkt._cholesky_factor(N)
+    C, inverses = kkt._cholesky_factor(N.copy())  # factored in place
     assert not np.triu(C, 1).any()
     assert np.abs(C - np.linalg.cholesky(N)).max() <= 1e-12 * np.abs(C).max()
     r = rng.normal(size=m)

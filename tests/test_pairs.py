@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from polydisc import (PointConfig, SingularConfigError, active_set, extract, geometry,
-                      recover_multipliers, regular_ngon, verify)
+                      maximizer_structure_report, objective_gradient, recover_multipliers,
+                      regular_ngon, verify)
 from polydisc.geometry import normalize_to_diameter, pairwise_distances, upper_pairs
 
 
@@ -105,28 +106,50 @@ def _fused_case(n, scale, close):
     return z
 
 
+def upper_reference(mask):
+    """Reference: pairs i < j where the (n, n) mask holds, in row-major order."""
+    return [(int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(mask, 1)))]
+
+
 @pytest.mark.parametrize("rows", [1, 2, None])
 @pytest.mark.parametrize("scale, close", [(1e-150, False), (1.0, False), (2.0 ** 1010, False),
                                           (1.0, True)])
 @pytest.mark.parametrize("n", [2, 3, 17, 512, 513, 1001, 1500])
 def test_fused_pass_matches_distances_and_sums(monkeypatch, n, scale, close, rows):
     # blocks of one row, of two rows, and the default blocks (several at
-    # n = 1500, the last one short)
+    # n = 1500, the last one short): every reduction from one pass
     if rows is not None:
         monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", rows * n)
     z = _fused_case(n, scale, close)
-    d, L = geometry._pair_rows(z)
+    # pairs at squared distance 36 or more: a few at scale 1 and none at
+    # 1e-150; at 2^1010 every square overflows, so that every pair is active
+    active = -8.0 if scale < 2.0 ** 1000 else None
+    d = np.empty((n, n))
+    found = geometry._pair_rows(z, out=d, sums=True, diameter=True, nearest=True, logs=True,
+                                active=active, edges=1e-3)
     ref_d, ref_L = loop_distances_and_sums(z)
     assert d.tobytes() == pairwise_distances(z).tobytes() == ref_d.tobytes()
-    assert L.tobytes() == geometry.stationarity_lhs(z).tobytes() == ref_L.tobytes()
-    assert np.isfinite(L).all()
+    assert found.sums.tobytes() == geometry.stationarity_lhs(z).tobytes() == ref_L.tobytes()
+    assert np.isfinite(found.sums).all()
+    off = ~np.eye(n, dtype=bool)
+    assert found.diameter == ref_d.max()
+    assert found.far == tuple(sorted(divmod(int(ref_d.argmax()), n)))
+    assert found.nearest == ref_d[off].min()
+    # the logs of each block are summed in one call, in row-major order: at
+    # one block, the sum over the whole matrix
+    assert found.log_sum == sum(float(np.sum(np.log(ref_d[r][off[r]])))
+                                for r in geometry._row_blocks(n))
+    if active is not None:
+        assert found.active == upper_reference(ref_d ** 2 >= 36.0)
+    assert found.edges == upper_reference(ref_d >= (1.0 - 1e-3) * ref_d.max())
 
 
 def test_fused_pass_prescales_only_the_sums():
     # the difference of the first two points is past the float range, so its
     # distance is inf, while the prescaled sums stay finite
     z = np.array([1.5 * 2.0 ** 1023, -1.5 * 2.0 ** 1023, 1j])
-    d, L = geometry._pair_rows(z)
+    d = np.empty((3, 3))
+    L = geometry._pair_rows(z, out=d, sums=True).sums
     ref_d, ref_L = loop_distances_and_sums(z)
     assert d[0, 1] == d[1, 0] == np.inf
     assert d.tobytes() == ref_d.tobytes() and L.tobytes() == ref_L.tobytes()
@@ -138,9 +161,10 @@ def test_coincident_points_stay_singular(n):
     z = _fused_case(n, 1.0, False)
     z[n - 1] = z[0]
     config = PointConfig.from_complex(z)
-    d, _ = geometry._pair_rows(z)
-    assert not geometry._distinct(d)
-    with pytest.raises(SingularConfigError):
-        verify(config)
+    assert geometry._pair_rows(z, nearest=True).nearest == 0.0
+    assert not config.is_distinct()
+    for check in (verify, maximizer_structure_report, objective_gradient):
+        with pytest.raises(SingularConfigError):
+            check(config)
     with pytest.raises(SingularConfigError):
         recover_multipliers(config, [(0, 1)])
