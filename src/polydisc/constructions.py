@@ -293,7 +293,7 @@ def _triwave_points(n: int, m: int, t: float) -> np.ndarray:
 
 
 def _max_distance(z: np.ndarray) -> tuple[float, tuple[int, int]]:
-    found = _pair_rows(z, diameter=True)
+    found = _pair_rows(z)
     return found.diameter, found.far
 
 

@@ -266,7 +266,7 @@ def check_pairwise_intersection(config: PointConfig, graph: DiameterGraph) -> bo
     Shared endpoints count as one intersection; collinear positive-length
     overlap and disjointness both fail.
     """
-    diam = _distinct_pairs(config.as_complex, diameter=True).diameter
+    diam = _distinct_pairs(config.as_complex).diameter
     return _pairwise_intersecting(config.points, diam, graph)
 
 

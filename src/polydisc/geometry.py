@@ -100,33 +100,34 @@ def _row_blocks(rows: int, cols: int | None = None) -> list[slice]:
 def pairwise_distances(z: np.ndarray) -> np.ndarray:
     """Full (n, n) matrix of |z_i - z_j| with zeros on the diagonal."""
     z = np.asarray(z, dtype=complex)
-    d = np.empty((len(z), len(z)))
-    _pair_rows(z, out=d)
-    return d
+    # differences past the float range are inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(z[:, None] - z[None, :])
 
 
 @dataclass
 class _Pairs:
-    """The reductions of one pass over the pairs; None where not asked for."""
+    """The reductions of one pass over the pairs: the diameter and the first
+    pair at it always, the others None where not asked for."""
 
+    diameter: float
+    far: tuple[int, int] | None
     sums: np.ndarray | None = None
-    diameter: float | None = None
-    far: tuple[int, int] | None = None
     nearest: float | None = None
     log_sum: float | None = None
     active: list | None = None
     edges: list | None = None
 
 
-def _pair_rows(z, *, out=None, sums=False, diameter=False, nearest=False, logs=False,
-               active=None, edges=None) -> _Pairs:
+def _pair_rows(z, *, sums=False, nearest=False, logs=False, active=None, edges=None) -> _Pairs:
     """One pass over the pairs of z, a block of rows at a time, forming each
-    block of differences z_j - z_k once and taking from it what is asked for:
+    block of differences z_j - z_k and of distances |z_j - z_k| once.
 
-    - ``out``: an (n, n) array that receives the distances |z_j - z_k|;
+    Every pass takes the largest distance, ``diameter`` (-inf at n = 0), and
+    ``far``, the first pair (i < j) in row-major order at it.  It also takes
+    what is asked for:
+
     - ``sums``: the stationarity sums L of stationarity_lhs;
-    - ``diameter``: the largest distance, and ``far``, the first pair (i < j)
-      in row-major order at it;
     - ``nearest``: the smallest distance off the diagonal, 0 when two points
       coincide;
     - ``logs``: ``log_sum``, the sum of the logs of the distances off the
@@ -134,25 +135,21 @@ def _pair_rows(z, *, out=None, sums=False, diameter=False, nearest=False, logs=F
     - ``active``: the pairs (i < j) with squared distance at least
       4 (1 - active), in row-major order;
     - ``edges``: the pairs (i < j) with distance at least (1 - edges) times
-      the diameter, in row-major order, and ``diameter``.
+      the diameter, in row-major order.
 
-    No n x n array is held unless ``out`` is one.  The smallest distance
-    comes from the copy of a block's off-diagonal entries that the logs are
-    taken in, or else from the block with its diagonal set to inf for the
-    while.  A block's edges are its pairs past the cut of the largest
-    distance so far, kept with their distances and filtered against the
-    final cut at the end.  The logs of a block are summed in one call, so at
-    n <= 512, one block, log_sum is the sum over the whole matrix.  The sums
-    of coordinates past 2^1000 come from the points prescaled by 2^-600,
-    where a difference that overflows stays finite.
+    No n x n array is held.  The smallest distance comes from the copy of a
+    block's off-diagonal entries that the logs are taken in, or else from
+    the block with its diagonal set to inf for the while.  A block's edges
+    are its pairs past the cut of the largest distance so far, kept with
+    their distances and filtered against the final cut at the end.  The logs
+    of a block are summed in one call, so at n <= 512, one block, log_sum is
+    the sum over the whole matrix.  The sums of coordinates past 2^1000 come
+    from the points prescaled by 2^-600, where a difference that overflows
+    stays finite.
     """
     z = np.asarray(z, dtype=complex)
     n = len(z)
-    blocks = _row_blocks(n)
-    diameter = diameter or edges is not None
     nearest = nearest or logs
-    distances = out is not None or diameter or nearest or active is not None
-    buf = np.empty((blocks[0].stop, n)) if distances and out is None and n else None
     L = np.empty(n, dtype=complex) if sums else None
     huge = sums and np.maximum(np.abs(z.real), np.abs(z.imag)).max(initial=0.0) > _HUGE
     zs = z * _PRESCALE if huge else z
@@ -160,14 +157,12 @@ def _pair_rows(z, *, out=None, sums=False, diameter=False, nearest=False, logs=F
     pairs, found = [], []
     # differences past the float range are inf; callers reject non-finite sums
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for rows in blocks:
+        for rows in _row_blocks(n):
             lo = rows.start
             if sums or nearest and not logs:
                 diagonal = (np.arange(rows.stop - lo), np.arange(lo, rows.stop))
-            if distances or not huge:
-                diff = z[None, :] - z[rows, None]  # [k, j] = z_j - z_k
-            if distances:
-                d = np.abs(diff, out=buf[:rows.stop - lo] if out is None else out[rows])
+            diff = z[None, :] - z[rows, None]  # [k, j] = z_j - z_k
+            d = np.abs(diff)
             if sums:
                 if huge:
                     diff = zs[None, :] - zs[rows, None]
@@ -175,18 +170,15 @@ def _pair_rows(z, *, out=None, sums=False, diameter=False, nearest=False, logs=F
                 np.divide(1.0, diff, out=diff)
                 diff[diagonal] = 0.0
                 L[rows] = diff.sum(axis=1)
-            # freed before the next temporary is made, so that the allocator
-            # hands back the same pages, not fresh ones that fault in on first
-            # write
+            # freed before the next temporary is made, as d is at the end of
+            # the block, so that the allocator hands back the same pages, not
+            # fresh ones that fault in on first write
             del diff
-            if not distances:
-                continue
-            if diameter:
-                at = int(d.argmax())
-                if d.flat[at] > top:
-                    top = float(d.flat[at])
-                    i, j = divmod(at, n)
-                    far = (min(lo + i, j), max(lo + i, j))
+            at = int(d.argmax())
+            if d.flat[at] > top:
+                top = float(d.flat[at])
+                i, j = divmod(at, n)
+                far = (min(lo + i, j), max(lo + i, j))
             if logs:
                 off = _off_diagonal(d, lo)
                 low = min(low, float(off.min()))
@@ -204,11 +196,10 @@ def _pair_rows(z, *, out=None, sums=False, diameter=False, nearest=False, logs=F
                 # the last block's cut is the final one
                 found.append((block, [d[i - lo, j] for i, j in block]
                               if rows.stop < n else None))
-    result = _Pairs()
+            del d
+    result = _Pairs(top, far)
     if sums:
         result.sums = L * _PRESCALE if huge else L
-    if diameter:
-        result.diameter, result.far = top, far
     if nearest:
         result.nearest = low
     if logs:
@@ -264,7 +255,7 @@ def diameter(config: PointConfig) -> float:
     """Largest pairwise distance. Requires n >= 2."""
     if config.n < 2:
         raise InvalidConfigError("diameter requires at least 2 points")
-    return _pair_rows(config.as_complex, diameter=True).diameter
+    return _pair_rows(config.as_complex).diameter
 
 
 def normalize_to_diameter(config: PointConfig, target: float = 2.0) -> PointConfig:
@@ -302,7 +293,7 @@ def normalized_discriminant(config: PointConfig, rescale_to_diameter: bool = Tru
         raise InvalidConfigError("normalized discriminant requires n >= 1")
     if n == 1:
         return 1.0
-    found = _pair_rows(config.as_complex, logs=True, diameter=rescale_to_diameter)
+    found = _pair_rows(config.as_complex, logs=True)
     log_delta = found.log_sum
     if rescale_to_diameter:
         log_delta += n * (n - 1) * math.log(_rescale_factor(found.diameter))
@@ -314,7 +305,7 @@ def log_delta_bar(config: PointConfig) -> float:
     n = config.n
     if n < 2:
         raise InvalidConfigError("log_delta_bar requires n >= 2")
-    found = _pair_rows(config.as_complex, logs=True, diameter=True)
+    found = _pair_rows(config.as_complex, logs=True)
     log_delta, diam = found.log_sum, found.diameter
     if diam == 0.0 or log_delta == -math.inf:
         return -math.inf
@@ -327,7 +318,7 @@ def evaluate(config: PointConfig) -> EvalReport:
     n = config.n
     if n < 2:
         raise InvalidConfigError("evaluate requires n >= 2")
-    found = _pair_rows(config.as_complex, logs=True, diameter=True)
+    found = _pair_rows(config.as_complex, logs=True)
     diam = found.diameter
     if diam == 0.0:
         raise InvalidConfigError("zero-diameter configuration")
@@ -345,7 +336,7 @@ def is_convex_position(config: PointConfig) -> bool:
     if config.n < 3:
         raise InvalidConfigError("convex position requires n >= 3")
     return _convex_position(config.points,
-                            _distinct_pairs(config.as_complex, diameter=True).diameter)
+                            _distinct_pairs(config.as_complex).diameter)
 
 
 def _convex_position(points: np.ndarray, diam: float) -> bool:

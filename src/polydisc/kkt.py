@@ -22,11 +22,14 @@ past the float range, fall back to np.linalg.lstsq on the dense system.
 verify and recover_multipliers take one pass over the pairs
 (geometry._pair_rows) and hold no n x n array: each block of pair
 differences gives the distances, for the distinctness test and the active
-set, and the reciprocals of the stationarity sums.
+set, and the reciprocals of the stationarity sums.  _fit is the one entry
+to the nonnegative least squares; the optimizer's Newton polish refits its
+multipliers through it too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,18 +83,13 @@ def _column_matrix(w, a, b, n):
     return A.reshape(2 * n, m)
 
 
-def _gap_gradients(z, a, b):
-    """Gradients 2 (z_a - z_b) of the gaps |z_a - z_b|^2 - 4 in z_a, as
-    complex numbers x + iy; the gradients in z_b are their negatives."""
-    # each part doubled on its own: a complex product by 2 can flip the sign
-    # of a zero part, which the Newton step's least-squares solver reads
-    return (2 * (z[a] - z[b]).view(float)).view(complex)
-
-
 def _constraint_matrix(z, a, b):
     """Real (2n, m) Jacobian of the gaps |z_a - z_b|^2 - 4: rows are the x
-    then the y coordinates, one column per pair."""
-    return _column_matrix(_gap_gradients(z, a, b), a, b, len(z))
+    then the y coordinates, one column per pair.  The gradients in z_a are
+    2 (z_a - z_b), those in z_b their negatives."""
+    # each part doubled on its own: a complex product by 2 can flip the sign
+    # of a zero part, which the Newton step's least-squares solver reads
+    return _column_matrix((2 * (z[a] - z[b]).view(float)).view(complex), a, b, len(z))
 
 
 def _constraint_gaps(z, a, b):
@@ -357,18 +355,18 @@ def verify(config: PointConfig, rel_tol: float = 1e-9) -> KKTReport:
     comp = float(np.abs(lam * _constraint_gaps(z, a, b)).max(initial=0.0))
     degree = np.bincount(np.concatenate([a, b]), minlength=config.n)
     multipliers = dict(zip(act, lam.tolist()))
+    top = float(np.abs(resid).max())
     with np.errstate(over="ignore"):
         norm2 = float(np.linalg.norm(resid))
-        if np.isinf(norm2) and np.isfinite(resid).all():
-            # the sum of squares overflowed; after rescaling only a norm
-            # past the float range stays inf
-            top = np.abs(resid).max()
+        if not 2.0 ** -500 <= norm2 <= 2.0 ** 500 and 0.0 < top < math.inf:
+            # the sum of squares may have overflowed or underflowed; after
+            # rescaling only a norm past the float range stays inf
             norm2 = float(top * np.linalg.norm(resid / top))
     return KKTReport(
         n=config.n,
         active_set=tuple(sorted(act)),
         multipliers=multipliers,
-        stationarity_residual=float(np.abs(resid).max()),
+        stationarity_residual=top,
         residual_norm2=norm2,
         min_multiplier=min(multipliers.values(), default=0.0),
         complementarity_violation=comp,

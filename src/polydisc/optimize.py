@@ -25,8 +25,8 @@ from . import kkt
 from .diamgraph import (DiameterGraph, enumerate_caterpillars,
                         enumerate_unicyclic_candidates)
 from .errors import InvalidConfigError
-from .geometry import (PointConfig, _pair_sq, complex_gradient, log_delta_bar,
-                       pairwise_distances, upper_pairs)
+from .geometry import (PointConfig, _pair_rows, _pair_sq, _rescale_factor,
+                       complex_gradient, log_delta_bar, stationarity_lhs, upper_pairs)
 from .kkt import _constraint_gaps, _constraint_matrix, _pair_arrays
 
 TERM_CONVERGED = "gradient-converged"
@@ -107,8 +107,7 @@ class OptimizeResult:
 
 
 def _rescale(z: np.ndarray) -> np.ndarray:
-    d = pairwise_distances(z)
-    return z * (2.0 / d.max())
+    return z * _rescale_factor(_pair_rows(z).diameter)
 
 
 def _start_config(n: int, seed: int, index: int, eq_edges=None) -> np.ndarray:
@@ -332,7 +331,7 @@ def _al_phase(z, eq, traces=None):
             zl = z_new
             if traces is not None:
                 for i, zi, p in zip(live.tolist(), zl, phi):
-                    ldb = log_delta_bar(PointConfig.from_complex(_rescale(zi)))
+                    ldb = log_delta_bar(PointConfig.from_complex(zi))
                     traces[i].append((rnd, int(used[i]) + k, float(p), float(ldb)))
             if not live.size:
                 break
@@ -403,8 +402,7 @@ def _newton_kkt(z, act, lam_matrix, keep):
     total_its = 0
     for _ in range(20):
         if lam is None:
-            lam = kkt._nnls_project_resolve(kkt._gap_gradients(z, a, b), a, b,
-                                            complex_gradient(z))
+            lam = kkt._fit(z, a, b, stationarity_lhs(z))[0]
         zz, lm = z.copy(), lam.copy()
         # the residual and Jacobian at (zz, lm): computed here, then taken
         # over from the line search's accepted trial
@@ -452,13 +450,12 @@ def _newton_kkt(z, act, lam_matrix, keep):
             last, since = nf, since + 1
         if not converged:
             return z, False, total_its
-        # working-set adjustment: add the worst violated pair (the first in
-        # row-major order among equals), else drop the most negative
-        # removable multiplier
-        d = pairwise_distances(zz)
-        outside = [p for p in upper_pairs(d > 2.0 + 1e-10) if p not in act]
+        # working-set adjustment: add the farthest pair past squared
+        # distance 4 (1 + 1e-10) (the first in row-major order among
+        # equals), else drop the most negative removable multiplier
+        outside = [p for p in _pair_rows(zz, active=-1e-10).active if p not in act]
         if outside:
-            act = sorted(act + [max(outside, key=lambda p: d[p])])
+            act = sorted(act + [max(outside, key=lambda p: abs(zz[p[0]] - zz[p[1]]))])
         else:
             removable = [c for c, e in enumerate(act) if e not in keep and lm[c] < -1e-9]
             if not removable:
@@ -472,8 +469,7 @@ def _newton_kkt(z, act, lam_matrix, keep):
 
 def _polish(n, index, z, lam_matrix, used, keep, trace):
     """Newton polish, certification and summary of one start after its ascent."""
-    d = pairwise_distances(z)
-    act = set(keep) | set(upper_pairs((lam_matrix > 1e-7) | (d >= 2.0 - 1e-5)))
+    act = set(keep).union(upper_pairs(lam_matrix > 1e-7), _pair_rows(z, active=1e-5).active)
     z2, ok, newton_its = _newton_kkt(z, act, lam_matrix, keep)
     iterations = int(used) + newton_its
 

@@ -268,6 +268,8 @@ def test_overflowing_normal_equations_fall_back():
         report = verify(config)
     assert report.active_set == tuple(every_pair)
     assert report.min_multiplier > 0.0 and report.complementarity_violation == math.inf
+    # the squares of the residual underflow, and the norm is rescaled
+    assert 0 < report.stationarity_residual <= report.residual_norm2
     assert lstsq.called
     ref_lam, ref_residual = _loop_fit(config, active)
     assert list(lam.values()) == ref_lam

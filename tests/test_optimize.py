@@ -16,7 +16,7 @@ from polydisc import (
     parse_graph_text,
     sweep_graphs,
 )
-from polydisc import optimize
+from polydisc import geometry, optimize
 from polydisc.constructions import hexagon6, kite4, regular_ngon
 from polydisc.diamgraph import maximizer_structure_report
 from polydisc.geometry import diameter, pairwise_distances, upper_pairs
@@ -260,6 +260,29 @@ class TestNewtonWorkingSet:
         monkeypatch.undo()
         sets, (ok, steps) = _working_sets(monkeypatch, config, act, keep=frozenset({(1, 2)}))
         assert sets == [act] and ok and steps == 7
+
+
+def test_optimizer_builds_no_distance_matrix(monkeypatch):
+    # the rescale, the first working set, the pair that Newton adds and the
+    # multipliers it refits after a drop come from the one pass over the
+    # pairs and the one multiplier fit
+    def refuse(z):
+        raise AssertionError("an n x n distance matrix was built")
+
+    monkeypatch.setattr(geometry, "pairwise_distances", refuse)
+    monkeypatch.setattr(optimize, "pairwise_distances", refuse, raising=False)
+    result = maximize_free(8, OptimizeOptions(seed=0, starts=2, record_trace=True))
+    assert all(s.trace and s.termination == "gradient-converged" for s in result.starts)
+    result = maximize_with_graph(6, conjectured_even_graph(6), OptimizeOptions(seed=0, starts=2))
+    assert result.achieved_matches_request and result.termination == "gradient-converged"
+    config = regular_ngon(15)
+    act = [p for p in verify(config).active_set if p != (0, 7)]
+    sets, _ = _working_sets(monkeypatch, config, act)
+    assert sets[:2] == [act, sorted(act + [(8, 14)])]
+    config = hexagon6()
+    act = [p for p in verify(config).active_set if p != (0, 5)]
+    sets, _ = _working_sets(monkeypatch, config, act)
+    assert sets[:2] == [act, [p for p in act if p != (1, 2)]]
 
 
 class TestMerit:

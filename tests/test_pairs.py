@@ -124,11 +124,10 @@ def test_fused_pass_matches_distances_and_sums(monkeypatch, n, scale, close, row
     # pairs at squared distance 36 or more: a few at scale 1 and none at
     # 1e-150; at 2^1010 every square overflows, so that every pair is active
     active = -8.0 if scale < 2.0 ** 1000 else None
-    d = np.empty((n, n))
-    found = geometry._pair_rows(z, out=d, sums=True, diameter=True, nearest=True, logs=True,
-                                active=active, edges=1e-3)
+    found = geometry._pair_rows(z, sums=True, nearest=True, logs=True, active=active,
+                                edges=1e-3)
     ref_d, ref_L = loop_distances_and_sums(z)
-    assert d.tobytes() == pairwise_distances(z).tobytes() == ref_d.tobytes()
+    assert pairwise_distances(z).tobytes() == ref_d.tobytes()
     assert found.sums.tobytes() == geometry.stationarity_lhs(z).tobytes() == ref_L.tobytes()
     assert np.isfinite(found.sums).all()
     off = ~np.eye(n, dtype=bool)
@@ -148,10 +147,11 @@ def test_fused_pass_prescales_only_the_sums():
     # the difference of the first two points is past the float range, so its
     # distance is inf, while the prescaled sums stay finite
     z = np.array([1.5 * 2.0 ** 1023, -1.5 * 2.0 ** 1023, 1j])
-    d = np.empty((3, 3))
-    L = geometry._pair_rows(z, out=d, sums=True).sums
+    found = geometry._pair_rows(z, sums=True)
+    d, L = pairwise_distances(z), found.sums
     ref_d, ref_L = loop_distances_and_sums(z)
     assert d[0, 1] == d[1, 0] == np.inf
+    assert found.diameter == np.inf and found.far == (0, 1)
     assert d.tobytes() == ref_d.tobytes() and L.tobytes() == ref_L.tobytes()
     assert np.isfinite(L).all()
 
