@@ -37,16 +37,18 @@ TERM_STALLED = "stalled"
 _STACK_ENTRIES = 1 << 14
 
 # Per start: at most _ROUNDS ascent rounds of at most _ROUND_STEPS steps, the
-# initial penalty, its growth factor and the largest penalty a round runs at,
-# the KKT residual below which a polished start counts as converged, and the
-# constraint violation that ends the ascent.  On the graph targets that
-# reach _PENALTY_MAX the violation falls only as mu^-1/2: no finite
-# multiplier exists, and more penalty buys nothing.
+# initial penalty and its growth factor, the count of consecutive stalling
+# rounds that ends the ascent, the KKT residual below which a polished start
+# counts as converged, and the constraint violation that ends the ascent.
+# A round stalls when the penalty grew 10x and the violation fell by more
+# than 2x but by no more than 4x, about the sqrt(10) of a violation that
+# falls only as mu^-1/2: then no finite multiplier exists, and more penalty
+# buys nothing.
 _ROUNDS = 12
 _ROUND_STEPS = 150
 _PENALTY_INIT = 10.0
 _PENALTY_GROWTH = 10.0
-_PENALTY_MAX = 1e8
+_STALL_ROUNDS = 3
 _TOL_GRADIENT = 1e-8
 _TOL_CONSTRAINT = 1e-10
 
@@ -85,6 +87,8 @@ class StartSummary:
     termination: str
     active_set: tuple
     trace: tuple = ()
+    al_rounds: int = 0
+    final_penalty: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -247,8 +251,10 @@ def _line_search(z, direction, phi, lam, mu, lo):
     """Per row, the first trial step 2^-k (k < 50) whose point
     z + step direction has a merit above phi.
 
-    Returns (found, z_new, phi_new): ``found`` is None when every row found
-    one, else the mask of the rows that did.
+    A row whose last trial so far rounds to z itself fails at once: every
+    smaller step rounds to z too, and the merit there is phi.  Returns
+    (found, z_new, phi_new): ``found`` is None when every row found one,
+    else the mask of the rows that did.
     """
     todo = np.arange(len(z))
     sel = slice(None)  # rows of todo, without a gather while it holds all
@@ -269,10 +275,17 @@ def _line_search(z, direction, phi, lam, mu, lo):
         found[rows] = True
         z_new[rows] = zt[hit, j]
         phi_new[rows] = phi_t[hit, j]
-        todo = sel = todo[~hit]
+        left = ~hit & (zt[:, -1] != z[sel]).any(axis=1)
+        todo = sel = todo[left]
         if not todo.size:
             break
     return found, z_new, phi_new
+
+
+def _violation(g, eq):
+    """The largest constraint violation of each start of a stack, from its
+    (S, n, n) pair gaps g and equality mask eq."""
+    return np.where(eq, np.abs(g), np.maximum(0.0, g)).max(axis=(1, 2))
 
 
 def _al_phase(z, eq, traces=None):
@@ -284,18 +297,20 @@ def _al_phase(z, eq, traces=None):
     each followed by a halving line search from the full step.  A start
     leaves the round when its gradient test passes or its line search fails,
     and that step counts as one of its iterations.  After the round, each of
-    its starts updates its multipliers and penalty.  It leaves the ascent
-    after _ROUNDS rounds, once its constraint violation is below
-    _TOL_CONSTRAINT after a round that it left before its last step, or once
-    its penalty exceeds _PENALTY_MAX, so that its last round runs at
-    _PENALTY_MAX.  Once every start of a round passes its gradient test, the
-    round ends without computing a step.
+    its starts updates its multipliers.  It leaves the ascent after _ROUNDS
+    rounds, once its constraint violation is below _TOL_CONSTRAINT after a
+    round that it left before its last step, or after _STALL_ROUNDS
+    consecutive rounds each of which cut its violation by more than 2x but
+    by no more than 4x; a start that stays grows its penalty 10x unless the
+    round cut its violation by more than 4x.  Once every start of a round
+    passes its gradient test, the round ends without computing a step.
 
     ``eq`` is the (S, n, n) mask of equality pairs: their multiplier floor
     is -inf, every other pair's is 0.  ``traces``, when given, holds one list
     per start that receives its accepted steps as (round, iteration, merit,
-    log Delta-bar).  Returns the final points, the
-    (S, n, n) multiplier matrices and the iterations used per start.
+    log Delta-bar).  Returns the final points, the (S, n, n) multiplier
+    matrices, and per start the iterations used, the rounds run and the
+    penalty of its last round.
     """
     S, n = z.shape
     z = z.copy()
@@ -303,7 +318,9 @@ def _al_phase(z, eq, traces=None):
     lo = np.where(eq, -np.inf, 0.0)
     mu = np.full(S, _PENALTY_INIT)
     viol_prev = np.full(S, math.inf)
+    stalls = np.zeros(S, dtype=int)  # consecutive stalling rounds
     used = np.zeros(S, dtype=int)
+    rounds = np.zeros(S, dtype=int)
     ids = np.arange(S)  # the starts still ascending
     for rnd in range(_ROUNDS):
         # the starts still stepping in this round, and their rows
@@ -337,21 +354,22 @@ def _al_phase(z, eq, traces=None):
                 break
         z[live] = zl
         used[live] += _ROUND_STEPS
+        rounds[ids] += 1
         # multiplier and penalty update of the round's starts
         g = _pair_sq(z[ids])[1] - 4.0
-        t = lam[ids] + mu[ids, None, None] * g
-        viol = np.where(eq[ids], np.abs(g), np.maximum(0.0, g))
-        lam[ids] = np.maximum(lo[ids], t)
-        v = viol.max(axis=(1, 2))
-        mu[ids[v > 0.25 * viol_prev[ids]]] *= _PENALTY_GROWTH
+        lam[ids] = np.maximum(lo[ids], lam[ids] + mu[ids, None, None] * g)
+        v, prev = _violation(g, eq[ids]), viol_prev[ids]
+        grow = v > 0.25 * prev
+        stalls[ids] = np.where(grow & (v <= 0.5 * prev), stalls[ids] + 1, 0)
         viol_prev[ids] = v
-        # a start whose round used every step is not stationary yet; one
-        # whose penalty passed _PENALTY_MAX leaves the ascent
+        # a start whose round used every step is not stationary yet
         done = (v < _TOL_CONSTRAINT) & ~np.isin(ids, live)
-        ids = ids[~(done | (mu[ids] > _PENALTY_MAX))]
+        done |= (stalls[ids] >= _STALL_ROUNDS) | (rnd == _ROUNDS - 1)
+        mu[ids[grow & ~done]] *= _PENALTY_GROWTH
+        ids = ids[~done]
         if not ids.size:
             break
-    return z, lam, used
+    return z, lam, used, rounds, mu
 
 
 def _grad_real(z):
@@ -467,8 +485,10 @@ def _newton_kkt(z, act, lam_matrix, keep):
     return z, False, total_its
 
 
-def _polish(n, index, z, lam_matrix, used, keep, trace):
-    """Newton polish, certification and summary of one start after its ascent."""
+def _polish(n, index, z, lam_matrix, used, rounds, penalty, keep, trace):
+    """Newton polish, certification and summary of one start after its
+    ascent, which used ``used`` iterations in ``rounds`` rounds, the last at
+    penalty ``penalty``."""
     act = set(keep).union(upper_pairs(lam_matrix > 1e-7), _pair_rows(z, active=1e-5).active)
     z2, ok, newton_its = _newton_kkt(z, act, lam_matrix, keep)
     iterations = int(used) + newton_its
@@ -484,6 +504,7 @@ def _polish(n, index, z, lam_matrix, used, keep, trace):
         iterations=iterations, termination=term,
         active_set=report.active_set,
         trace=tuple(trace) if trace else (),
+        al_rounds=int(rounds), final_penalty=float(penalty),
     )
     return summary, config, report.multipliers, ok
 
@@ -509,8 +530,8 @@ def _solve(n: int, opts: OptimizeOptions, edge_sets):
             for a, b in keep:
                 eq[r, a, b] = eq[r, b, a] = True
         traces = [[] for _ in part] if opts.record_trace else None
-        z, lam, used = _al_phase(z, eq, traces)
-        results += [_polish(n, s, z[r], lam[r], used[r], keeps[r],
+        z, lam, used, rounds, mu = _al_phase(z, eq, traces)
+        results += [_polish(n, s, z[r], lam[r], used[r], rounds[r], mu[r], keeps[r],
                             traces[r] if traces else None)
                     for r, (_, s) in enumerate(part)]
     return [results[i:i + opts.starts] for i in range(0, len(results), opts.starts)]

@@ -123,17 +123,10 @@ class TestMaximizeFree:
                 assert all(b >= a for a, b in zip(merits, merits[1:]))
 
 
-def _ascent_penalties(monkeypatch):
-    """The penalty of every row of every ascent step taken from now on."""
-    penalties = []
-    derivatives = optimize._merit_derivatives
-
-    def record(z, lam, mu, eq):
-        penalties.extend(mu.tolist())
-        return derivatives(z, lam, mu, eq)
-
-    monkeypatch.setattr(optimize, "_merit_derivatives", record)
-    return penalties
+# A graph at n = 10 that its starts do not reach: with seed 2 and 2 starts,
+# start 0's first working set ends by the line-search trial cap and start 1's
+# by the crawl rule.
+GRAPH10 = "10;1-2,1-5,2-3,3-4,3-6,4-5,5-7,5-8,5-9,5-10"
 
 
 def _newton_calls(monkeypatch, run):
@@ -158,20 +151,22 @@ class TestNewtonStop:
         kkt_F = optimize._kkt_F
         monkeypatch.setattr(optimize, "_kkt_F",
                             lambda *args: calls.append(None) or kkt_F(*args))
-        penalties = _ascent_penalties(monkeypatch)
-        result = maximize_free(18, OptimizeOptions(seed=1, starts=16))
+        opts = OptimizeOptions(seed=1, starts=16)
+        result = maximize_free(18, opts)
         assert [s.termination for s in result.starts] == ["gradient-converged"] * 16
         assert len(calls) < 1000
-        # no start comes near the penalty cap, so the cap changes no step
-        assert max(penalties) < optimize._PENALTY_MAX
+        # no start ends its ascent by the stall streak: without it, the run
+        # takes the same steps
+        monkeypatch.setattr(optimize, "_STALL_ROUNDS", optimize._ROUNDS + 1)
+        assert maximize_free(18, opts).starts == result.starts
 
     def test_line_search_above_floor_is_capped(self, monkeypatch):
-        # start 3's first working set: max |F| = 1.06e-4, and no step 2^-k
-        # with k < 16 cuts it enough, so the set fails after one step; with
-        # 45 trials it took 11 steps
+        # start 0's first working set: max |F| = 5.99e-4, and after 7 steps
+        # that barely cut it no step 2^-k with k < 16 cuts it enough, so the
+        # set fails after 8 steps; with 45 trials it took 11 steps
         calls, _ = _newton_calls(monkeypatch, lambda: maximize_with_graph(
-            8, conjectured_even_graph(8), OptimizeOptions(seed=0, starts=4)))
-        args, (z_out, ok, _) = calls[3]
+            10, parse_graph_text(GRAPH10), OptimizeOptions(seed=2, starts=2)))
+        args, (z_out, ok, _) = calls[0]
         assert not ok and z_out is args[0]
         # replayed: the residuals of each step, split at its Hessian
         steps = [[]]
@@ -195,12 +190,12 @@ class TestNewtonStop:
         assert steps <= optimize._NEWTON_PATIENCE + 1
 
     def test_crawling_set_abandoned(self, monkeypatch):
-        # start 3's first working set: each step cuts max |F| = 5.8e-5 by
-        # at most 0.03 %, after 13-16 line-search trials; with 45 trials and
+        # start 1's first working set: each step cuts max |F| = 6.8e-4 by
+        # at most 0.05 %, after 12-16 line-search trials; with 45 trials and
         # only the 100-step cap it crawls for 100 steps
         calls, _ = _newton_calls(monkeypatch, lambda: maximize_with_graph(
-            10, conjectured_even_graph(10), OptimizeOptions(seed=0, starts=4)))
-        args, (z_out, ok, steps) = calls[3]
+            10, parse_graph_text(GRAPH10), OptimizeOptions(seed=2, starts=2)))
+        args, (z_out, ok, steps) = calls[1]
         assert not ok and z_out is args[0]
         # at most a 10x step, then _NEWTON_CRAWL steps without one, then the test
         assert steps <= optimize._NEWTON_CRAWL + 2
@@ -328,19 +323,67 @@ class TestNewtonAscent:
         # one-step round, far from stationary; it used to leave the ascent
         monkeypatch.setattr(optimize, "_ROUND_STEPS", 1)
         z = 0.5 * np.exp(2j * np.pi * np.arange(6) / 6)
-        z_out, _, used = optimize._al_phase(z[None], np.zeros((1, 6, 6), bool))
+        z_out, _, used, _, _ = optimize._al_phase(z[None], np.zeros((1, 6, 6), bool))
         assert used[0] > 1
         assert pairwise_distances(z_out[0]).max() > 1.5
 
-    def test_infeasible_start_stops_at_penalty_cap(self, monkeypatch):
+    def test_infeasible_start_ends_by_stall_streak(self, monkeypatch):
         # start 2 cannot reach the graph: its violation falls only as
-        # mu^-1/2, and its rounds used to go on up to mu = 1e11, 380
-        # iterations in all
-        penalties = _ascent_penalties(monkeypatch)
-        result = maximize_with_graph(8, conjectured_even_graph(8),
-                                     OptimizeOptions(seed=0, starts=3))
-        assert max(penalties) == optimize._PENALTY_MAX
-        assert result.starts[2].termination == "stalled"
+        # mu^-1/2 (0.10, 0.033, 0.011 in the rounds at mu = 1e2, 1e3, 1e4),
+        # so it leaves after its third such round; without the streak its
+        # rounds go on up to mu = 1e11, 373 iterations in all
+        opts = OptimizeOptions(seed=0, starts=3)
+        start = maximize_with_graph(8, conjectured_even_graph(8), opts).starts[2]
+        assert start.termination == "stalled"
+        assert start.al_rounds == 5 and start.final_penalty <= 1e5
+        monkeypatch.setattr(optimize, "_STALL_ROUNDS", optimize._ROUNDS + 1)
+        start = maximize_with_graph(8, conjectured_even_graph(8), opts).starts[2]
+        assert start.al_rounds == optimize._ROUNDS and start.final_penalty > 1e8
+
+    def test_stall_streak_ends_only_mu_half_violations(self, monkeypatch):
+        # two starts of one stack with scripted violations: start 0's falls
+        # by sqrt(10) per round, start 1's stays flat at 2e-10
+        falling = 1e-2 / np.sqrt(10.0) ** np.arange(12)
+        script = iter(np.stack([falling, np.full(12, 2e-10)], axis=1))
+        rows = []
+
+        def violation(g, eq):  # g holds the rows of the starts still ascending
+            rows.append(len(g))
+            return next(script)[-len(g):]
+
+        monkeypatch.setattr(optimize, "_violation", violation)
+        monkeypatch.setattr(optimize, "_ROUND_STEPS", 1)
+        z = np.array([optimize._start_config(6, 0, s) for s in range(2)])
+        _, _, used, rounds, mu = optimize._al_phase(z, np.zeros((2, 6, 6), bool))
+        # round 0 sets the reference, rounds 1-3 stall
+        assert rounds.tolist() == [4, 12] and rows == [2] * 4 + [1] * 8
+        assert mu.tolist() == [1e3, 1e11]
+        assert used.tolist() == [4, 12]
+
+    def test_line_search_below_roundoff_fails_at_once(self, monkeypatch):
+        # row 0 takes a Newton step; row 1's direction rounds away at every
+        # trial step, so the 50-halving search tries all 50 and finds none
+        z = np.array([optimize._start_config(6, 0, s) for s in range(2)])
+        lam, mu, lo = np.zeros((2, 6, 6)), np.full(2, 10.0), np.zeros((2, 6, 6))
+        grad, hess = optimize._merit_derivatives(z, lam, mu, lo)
+        direction = optimize._newton_step(z, grad, hess) * np.array([[1.0], [1e-30]])
+        phi = optimize._merit_value(z, lam, mu, lo)
+        reference = []
+        for r in range(2):
+            for t in optimize._HALVINGS:
+                zt = z[r] + t * direction[r]
+                phi_t = optimize._merit_value(zt[None], lam[r:r + 1], mu[r:r + 1], lo[r:r + 1])[0]
+                if phi_t > phi[r]:
+                    reference.append((zt, phi_t))
+                    break
+        assert len(reference) == 1
+        calls = []
+        merit = optimize._merit_value
+        monkeypatch.setattr(optimize, "_merit_value", lambda *a: calls.append(None) or merit(*a))
+        found, z_new, phi_new = optimize._line_search(z, direction, phi, lam, mu, lo)
+        assert found.tolist() == [True, False]
+        assert np.array_equal(z_new[0], reference[0][0]) and phi_new[0] == reference[0][1]
+        assert len(calls) == 1  # the 50-halving search made 17 merit calls
 
     @pytest.mark.parametrize("seed", range(6))
     def test_n6_free_starts_converge(self, seed):
