@@ -206,7 +206,7 @@ def cmd_evaluate(args) -> int:
 def _parse_graph_arg(text: str) -> diamgraph.DiameterGraph:
     try:
         return diamgraph.parse_graph_text(text)
-    except (ValueError, InvalidConfigError) as exc:
+    except InvalidConfigError as exc:
         raise _UsageError(f"bad --graph value: {exc}")
 
 

@@ -48,6 +48,8 @@ class DiameterGraph:
     edges: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
+        if self.n < 0:
+            raise InvalidConfigError(f"negative vertex count {self.n}")
         norm = frozenset((min(a, b), max(a, b)) for a, b in self.edges)
         for a, b in norm:
             if not (0 <= a < b < self.n):
@@ -71,25 +73,28 @@ class DiameterGraph:
 
 
 def parse_graph_text(text: str) -> DiameterGraph:
-    """Parse ``n=<n>; edges=i-j,...`` (or the compact ``<n>;i-j,...``), 1-based labels."""
-    s = text.strip()
-    if ";" not in s:
-        raise InvalidConfigError(f"malformed graph text: {text!r}")
-    head, body = s.split(";", 1)
-    head = head.strip()
-    if head.startswith("n="):
-        head = head[2:]
-    n = int(head)
-    body = body.strip()
-    if body.startswith("edges="):
-        body = body[len("edges="):]
-    edges = set()
-    body = body.strip()
-    if body:
-        for item in body.split(","):
-            a, b = item.strip().split("-")
-            edges.add((int(a) - 1, int(b) - 1))
-    return DiameterGraph(n=n, edges=frozenset(edges))
+    """Parse ``n=<n>; edges=i-j,...`` (or the compact ``<n>;i-j,...``), 1-based labels.
+
+    Raises InvalidConfigError, naming the text, on any malformed text.
+    """
+    try:
+        head, body = text.strip().split(";", 1)
+        head = head.strip()
+        if head.startswith("n="):
+            head = head[2:]
+        n = int(head)
+        body = body.strip()
+        if body.startswith("edges="):
+            body = body[len("edges="):]
+        edges = set()
+        body = body.strip()
+        if body:
+            for item in body.split(","):
+                a, b = item.strip().split("-")
+                edges.add((int(a) - 1, int(b) - 1))
+        return DiameterGraph(n=n, edges=frozenset(edges))
+    except ValueError as exc:  # InvalidConfigError included
+        raise InvalidConfigError(f"malformed graph text {text!r}: {exc}") from None
 
 
 def extract(config: PointConfig, rel_tol: float = 1e-9) -> DiameterGraph:

@@ -23,8 +23,7 @@ verify and recover_multipliers take one pass over the pairs
 (geometry._pair_rows) and hold no n x n array: each block of pair
 differences gives the distances, for the distinctness test and the active
 set, and the reciprocals of the stationarity sums.  _fit is the one entry
-to the nonnegative least squares; the optimizer's Newton polish refits its
-multipliers through it too.
+to the nonnegative least squares.
 """
 
 from __future__ import annotations
@@ -333,12 +332,18 @@ def recover_multipliers(config: PointConfig, active) -> tuple[dict, float]:
     """Nonnegative multipliers best explaining the stationarity identity.
 
     Returns (multipliers keyed by pair, max per-point residual modulus).
+    Each pair is two distinct point labels, in either order, listed once.
     With an empty active set the residual is simply the size of the
     left-hand side: no stationarity is possible unless the gradient vanishes.
     """
     z = config.as_complex
-    L = _distinct_pairs(z, sums=True).sums
     active = [(min(a, b), max(a, b)) for a, b in active]
+    for a, b in active:
+        if not 0 <= a < b < config.n:
+            raise InvalidConfigError(f"pair ({a}, {b}) is not two of the {config.n} points")
+    if len(set(active)) < len(active):
+        raise InvalidConfigError("a pair is listed twice")
+    L = _distinct_pairs(z, sums=True).sums
     lam, resid = _fit(z, *_pair_arrays(active), L)
     return dict(zip(active, lam.tolist())), float(np.abs(resid).max())
 

@@ -3,10 +3,11 @@
 Each start perturbs a regular n-gon and climbs an augmented-Lagrangian
 merit function in which every pair carries the inequality |z_i - z_j|^2 <= 4
 (equality targets on prescribed graph edges), by modified Newton steps on
-the merit.  The multiplier estimates then seed an active-set Newton solve of
-the first-order system, which polishes the configuration to stationarity
-near machine precision.  One pair kernel gives both Newton methods their
-Hessian.  Starts are independent and reproducible from (seed, start index).
+the merit.  The multiplier estimates then seed a Newton solve of the
+first-order system on the one working set the ascent ends on, which polishes
+the configuration to stationarity near machine precision.  One pair kernel
+gives both Newton methods their Hessian.  Starts are independent and
+reproducible from (seed, start index).
 All starts of a run climb together as one stack of arrays, in lockstep
 rounds: each round steps the starts still ascending at fixed multipliers,
 then updates their multipliers and penalties at once.  A start's output does
@@ -26,7 +27,7 @@ from .diamgraph import (DiameterGraph, enumerate_caterpillars,
                         enumerate_unicyclic_candidates)
 from .errors import InvalidConfigError
 from .geometry import (PointConfig, _pair_rows, _pair_sq, _rescale_factor,
-                       complex_gradient, log_delta_bar, stationarity_lhs, upper_pairs)
+                       complex_gradient, log_delta_bar, upper_pairs)
 from .kkt import _constraint_gaps, _constraint_matrix, _pair_arrays
 
 TERM_CONVERGED = "gradient-converged"
@@ -391,110 +392,83 @@ _NEWTON_CRAWL = 10
 _NEWTON_TRIALS = 16
 
 
-def _newton_kkt(z, act, lam_matrix, keep):
-    """Active-set Newton solve of the stationarity system: at most 20
-    working sets of at most 100 steps each.
+def _newton_kkt(z, act, lam):
+    """Newton solve of the stationarity system on one working set: the
+    sorted pair list ``act`` with the multipliers ``lam``, from any source.
 
-    A working set converges once max |F| < _NEWTON_TOL, or at the roundoff
-    floor: max |F| < _NEWTON_FLOOR and the last step cut it by less than
-    10x or its line search failed, as a true Newton step from there lands
-    far below _NEWTON_TOL.  The line search tries the steps 2^-k, at most
-    45 of them at the floor and _NEWTON_TRIALS above it.  A set fails when
-    its line search fails above the floor, after 100 steps, or as hopeless
-    after _NEWTON_PATIENCE steps without a 10x drop while
-    max |F| >= _NEWTON_HOPELESS, or after _NEWTON_CRAWL such steps at any
-    max |F| above the floor.  A converged set adds the worst violated pair,
-    drops the most negative multiplier or ends the solve; a failed one ends
-    it.
+    The set converges once max |F| < _NEWTON_TOL, or at the roundoff floor:
+    max |F| < _NEWTON_FLOOR and the last step cut it by less than 10x or its
+    line search failed, as a true Newton step from there lands far below
+    _NEWTON_TOL.  The line search tries the steps 2^-k, at most 45 of them
+    at the floor and _NEWTON_TRIALS above it.  The solve fails when its line
+    search fails above the floor, after 100 steps, or as hopeless after
+    _NEWTON_PATIENCE steps without a 10x drop while max |F| >= _NEWTON_HOPELESS,
+    or after _NEWTON_CRAWL such steps at any max |F| above the floor.  The
+    set is never changed: a converged point with a pair past the diameter or
+    a negative multiplier is returned as it is, for the caller to judge.
 
-    ``lam_matrix`` seeds the first working set's multipliers.  Pairs in
-    ``keep`` stay in the working set even with negative multipliers
-    (prescribed graph edges are equality targets).  Returns
-    (z, converged, newton_iters); after a failed set, z is the point that
-    set started from.
+    Returns (z, converged, steps); a failed solve returns z itself.
     """
-    n = len(z)
-    act = sorted(set(act))
+    n, m = len(z), len(act)
     a, b = _pair_arrays(act)
-    lam = lam_matrix[a, b]
-    total_its = 0
-    for _ in range(20):
-        if lam is None:
-            lam = kkt._fit(z, a, b, stationarity_lhs(z))[0]
-        zz, lm = z.copy(), lam.copy()
-        # the residual and Jacobian at (zz, lm): computed here, then taken
-        # over from the line search's accepted trial
-        F, G = _kkt_F(zz, lm, a, b)
-        converged = False
-        # max |F| before the last step, and at the last 10x drop
-        last = ref = math.inf
-        since = 0  # steps since the last 10x drop
-        for _ in range(100):
-            total_its += 1
-            nf = np.abs(F).max()
-            if nf < _NEWTON_TOL or _NEWTON_FLOOR > nf > 0.1 * last:
-                converged = True
+    zz, lm = z, lam
+    # the residual and Jacobian at (zz, lm): computed here, then taken over
+    # from the line search's accepted trial
+    F, G = _kkt_F(zz, lm, a, b)
+    # max |F| before the last step, and at the last 10x drop
+    last = ref = math.inf
+    since = 0  # steps since the last 10x drop
+    for steps in range(1, 101):
+        nf = np.abs(F).max()
+        if nf < _NEWTON_TOL or _NEWTON_FLOOR > nf > 0.1 * last:
+            return zz, True, steps
+        if nf < 0.1 * ref:
+            ref, since = nf, 0
+        elif since >= (_NEWTON_PATIENCE if nf >= _NEWTON_HOPELESS else _NEWTON_CRAWL):
+            break
+        c = np.zeros((n, n))
+        c[a, b] = c[b, a] = lm
+        J = np.zeros((2 * n + m, 2 * n + m))
+        J[:2 * n, :2 * n] = _pair_hessian(*_pair_sq(zz), c, 0.0)
+        J[:2 * n, 2 * n:] = -G
+        J[2 * n:, :2 * n] = G.T
+        du, *_ = np.linalg.lstsq(J, -F, rcond=None)
+        t = 1.0
+        for _ in range(45 if nf < _NEWTON_FLOOR else _NEWTON_TRIALS):
+            zt = zz + (du[:n] + 1j * du[n:2 * n]) * t
+            lt = lm + du[2 * n:] * t
+            # coincident trial points give a non-finite residual, which
+            # fails the test below
+            with np.errstate(divide="ignore", invalid="ignore"):
+                F2, G2 = _kkt_F(zt, lt, a, b)
+            if np.abs(F2).max() < nf * (1 - 1e-4 * t) + 1e-15:
+                zz, lm, F, G = zt, lt, F2, G2
                 break
-            if nf < 0.1 * ref:
-                ref, since = nf, 0
-            elif since >= (_NEWTON_PATIENCE if nf >= _NEWTON_HOPELESS else _NEWTON_CRAWL):
-                break
-            c = np.zeros((n, n))
-            c[a, b] = c[b, a] = lm
-            H = _pair_hessian(*_pair_sq(zz), c, 0.0)
-            m = len(act)
-            J = np.zeros((2 * n + m, 2 * n + m))
-            J[:2 * n, :2 * n] = H
-            J[:2 * n, 2 * n:] = -G
-            J[2 * n:, :2 * n] = G.T
-            du, *_ = np.linalg.lstsq(J, -F, rcond=None)
-            t = 1.0
-            accepted = False
-            for _ in range(45 if nf < _NEWTON_FLOOR else _NEWTON_TRIALS):
-                zt = zz + (du[:n] + 1j * du[n:2 * n]) * t
-                lt = lm + du[2 * n:] * t
-                # coincident trial points give a non-finite residual, which
-                # fails the test below
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    F2, G2 = _kkt_F(zt, lt, a, b)
-                if np.abs(F2).max() < nf * (1 - 1e-4 * t) + 1e-15:
-                    zz, lm, F, G = zt, lt, F2, G2
-                    accepted = True
-                    break
-                t *= 0.5
-            if not accepted:
-                converged = nf < _NEWTON_FLOOR
-                break
-            last, since = nf, since + 1
-        if not converged:
-            return z, False, total_its
-        # working-set adjustment: add the farthest pair past squared
-        # distance 4 (1 + 1e-10) (the first in row-major order among
-        # equals), else drop the most negative removable multiplier
-        outside = [p for p in _pair_rows(zz, active=-1e-10).active if p not in act]
-        if outside:
-            act = sorted(act + [max(outside, key=lambda p: abs(zz[p[0]] - zz[p[1]]))])
+            t *= 0.5
         else:
-            removable = [c for c, e in enumerate(act) if e not in keep and lm[c] < -1e-9]
-            if not removable:
-                return zz, True, total_its
-            drop = act[min(removable, key=lambda c: lm[c])]
-            act.remove(drop)
-        a, b = _pair_arrays(act)
-        z, lam = zz, None
-    return z, False, total_its
+            if nf < _NEWTON_FLOOR:
+                return zz, True, steps
+            break
+        last, since = nf, since + 1
+    return z, False, steps
 
 
-def _polish(n, index, z, lam_matrix, used, rounds, penalty, keep, trace):
+def _polish(index, z, lam_matrix, used, rounds, penalty, keep, trace):
     """Newton polish, certification and summary of one start after its
     ascent, which used ``used`` iterations in ``rounds`` rounds, the last at
-    penalty ``penalty``."""
-    act = set(keep).union(upper_pairs(lam_matrix > 1e-7), _pair_rows(z, active=1e-5).active)
-    z2, ok, newton_its = _newton_kkt(z, act, lam_matrix, keep)
+    penalty ``penalty``.
+
+    The working set is the prescribed pairs ``keep``, the pairs with an
+    ascent multiplier above 1e-7 and the pairs within 1e-5 of the diameter,
+    seeded with the ascent's multipliers.  verify judges the polished point,
+    or the ascent's point when the solve failed.
+    """
+    act = sorted(set(keep).union(upper_pairs(lam_matrix > 1e-7),
+                                 _pair_rows(z, active=1e-5).active))
+    z2, ok, newton_its = _newton_kkt(z, act, lam_matrix[_pair_arrays(act)])
     iterations = int(used) + newton_its
 
-    z_final = _rescale(z2 if ok else z)
-    config = PointConfig.from_complex(z_final)
+    config = PointConfig.from_complex(_rescale(z2))
     ldb = log_delta_bar(config)
     report = kkt.verify(config)
     residual = report.stationarity_residual
@@ -531,7 +505,7 @@ def _solve(n: int, opts: OptimizeOptions, edge_sets):
                 eq[r, a, b] = eq[r, b, a] = True
         traces = [[] for _ in part] if opts.record_trace else None
         z, lam, used, rounds, mu = _al_phase(z, eq, traces)
-        results += [_polish(n, s, z[r], lam[r], used[r], rounds[r], mu[r], keeps[r],
+        results += [_polish(s, z[r], lam[r], used[r], rounds[r], mu[r], keeps[r],
                             traces[r] if traces else None)
                     for r, (_, s) in enumerate(part)]
     return [results[i:i + opts.starts] for i in range(0, len(results), opts.starts)]

@@ -196,6 +196,12 @@ class TestOptimize:
         assert rows[0] == ["start", "round", "step", "merit", "log_delta_bar"]
         assert len(rows) > 2
 
+    @pytest.mark.parametrize("graph", ["4;1-2-3", "4;a-b", "4 1-2"])
+    def test_malformed_graph_is_a_usage_error(self, tmp_path, capsys, graph):
+        assert run("optimize", "--n", "4", "--graph", graph,
+                   "--out", str(tmp_path / "o.json")) == 2
+        assert f"bad --graph value: malformed graph text '{graph}'" in capsys.readouterr().err
+
     def test_threads_flag_is_unknown(self, tmp_path):
         assert run("optimize", "--n", "4", "--threads", "2",
                    "--out", str(tmp_path / "o.json")) == 2

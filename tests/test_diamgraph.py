@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -362,3 +363,9 @@ class TestTextFormat:
     def test_bad_text(self):
         with pytest.raises(InvalidConfigError):
             parse_graph_text("not a graph")
+
+    @pytest.mark.parametrize("text", ["4;1-2-3", "4;1-2,,2-3", "4;a-b", "n=x; edges=1-2",
+                                      "4 1-2", "4;1-5", "-3;"])
+    def test_malformed_text_names_it(self, text):
+        with pytest.raises(InvalidConfigError, match=re.escape(f"graph text '{text}'")):
+            parse_graph_text(text)

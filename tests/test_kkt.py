@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from polydisc import (
+    InvalidConfigError,
     PointConfig,
     SingularConfigError,
     active_set,
@@ -61,6 +62,21 @@ class TestRecoverMultipliers:
         assert residual < 1e-10
         values = list(lam.values())
         assert np.ptp(values) < 1e-10
+
+    def test_duplicate_pair_rejected(self):
+        # listed twice, in either order, a pair once reported half its
+        # multiplier: 0.25 for (0, 2) of the regular 5-gon, not 0.5
+        cfg = regular_ngon(5)
+        active = active_set(cfg)
+        assert recover_multipliers(cfg, active)[0][(0, 2)] == pytest.approx(0.5, abs=1e-10)
+        for extra in [(0, 2), (2, 0)]:
+            with pytest.raises(InvalidConfigError, match="twice"):
+                recover_multipliers(cfg, active + [extra])
+
+    @pytest.mark.parametrize("pair", [(1, 1), (-1, 2), (0, 5), (5, 0)])
+    def test_pair_outside_the_points_rejected(self, pair):
+        with pytest.raises(InvalidConfigError, match="not two of the 5 points"):
+            recover_multipliers(regular_ngon(5), [(0, 2), pair])
 
     def test_empty_active_reports_gradient_size(self):
         rng = np.random.default_rng(1)

@@ -17,9 +17,9 @@ from polydisc import (
     sweep_graphs,
 )
 from polydisc import geometry, optimize
-from polydisc.constructions import hexagon6, kite4, regular_ngon
+from polydisc.constructions import arc_polygon, hexagon6, kite4, regular_ngon
 from polydisc.diamgraph import maximizer_structure_report
-from polydisc.geometry import diameter, pairwise_distances, upper_pairs
+from polydisc.geometry import diameter, log_delta_bar, pairwise_distances, upper_pairs
 from polydisc.kkt import verify
 
 SQRT3 = math.sqrt(3.0)
@@ -124,14 +124,14 @@ class TestMaximizeFree:
 
 
 # A graph at n = 10 that its starts do not reach: with seed 2 and 2 starts,
-# start 0's first working set ends by the line-search trial cap and start 1's
+# start 0's working set ends by the line-search trial cap and start 1's
 # by the crawl rule.
 GRAPH10 = "10;1-2,1-5,2-3,3-4,3-6,4-5,5-7,5-8,5-9,5-10"
 
 
 def _newton_calls(monkeypatch, run):
-    """((z, act, lam_matrix, keep), (z_out, converged, steps)) of every
-    _newton_kkt call while run() runs, in start order, and run()'s result."""
+    """((z, act, lam), (z_out, converged, steps)) of every _newton_kkt call
+    while run() runs, in start order, and run()'s result."""
     calls = []
     newton = optimize._newton_kkt
 
@@ -161,7 +161,7 @@ class TestNewtonStop:
         assert maximize_free(18, opts).starts == result.starts
 
     def test_line_search_above_floor_is_capped(self, monkeypatch):
-        # start 0's first working set: max |F| = 5.99e-4, and after 7 steps
+        # start 0's working set: max |F| = 5.99e-4, and after 7 steps
         # that barely cut it no step 2^-k with k < 16 cuts it enough, so the
         # set fails after 8 steps; with 45 trials it took 11 steps
         calls, _ = _newton_calls(monkeypatch, lambda: maximize_with_graph(
@@ -184,13 +184,13 @@ class TestNewtonStop:
         # falls only from 16 to 8 in two steps
         graph = conjectured_even_graph(8)
         z = optimize._start_config(8, 0, 1, graph.edges)
-        act = set(graph.edges) | set(upper_pairs(pairwise_distances(z) >= 2.0 - 1e-5))
-        z_out, ok, steps = optimize._newton_kkt(z, act, np.zeros((8, 8)), graph.edges)
+        act = sorted(set(graph.edges) | set(upper_pairs(pairwise_distances(z) >= 2.0 - 1e-5)))
+        z_out, ok, steps = optimize._newton_kkt(z, act, np.zeros(len(act)))
         assert not ok and z_out is z
         assert steps <= optimize._NEWTON_PATIENCE + 1
 
     def test_crawling_set_abandoned(self, monkeypatch):
-        # start 1's first working set: each step cuts max |F| = 6.8e-4 by
+        # start 1's working set: each step cuts max |F| = 6.8e-4 by
         # at most 0.05 %, after 12-16 line-search trials; with 45 trials and
         # only the 100-step cap it crawls for 100 steps
         calls, _ = _newton_calls(monkeypatch, lambda: maximize_with_graph(
@@ -221,46 +221,60 @@ class TestNewtonStop:
                                                (2, 7), (2, 8), (3, 8), (4, 8), (4, 9))
 
 
-def _working_sets(monkeypatch, config, act, keep=frozenset()):
-    """The working sets of _newton_kkt run from a certified configuration,
-    seeded with its multipliers, and the run's (converged, steps)."""
-    sets = []
-    pair_arrays = optimize._pair_arrays
-    monkeypatch.setattr(optimize, "_pair_arrays",
-                        lambda pairs: sets.append(sorted(pairs)) or pair_arrays(pairs))
-    lam = np.zeros((config.n, config.n))
-    for (i, j), value in verify(config).multipliers.items():
-        lam[i, j] = lam[j, i] = value
-    _, ok, steps = optimize._newton_kkt(config.as_complex, act, lam, keep)
-    return sets, (ok, steps)
+def _polished(config, act):
+    """_newton_kkt run from a certified configuration on the working set
+    ``act``, seeded with verify's multipliers: its (converged, steps), the
+    point it returned, and that point rescaled to diameter 2."""
+    multipliers = verify(config).multipliers
+    lam = np.array([multipliers.get(p, 0.0) for p in act])
+    z, ok, steps = optimize._newton_kkt(config.as_complex, act, lam)
+    return (ok, steps), z, PointConfig.from_complex(optimize._rescale(z))
 
 
 class TestNewtonWorkingSet:
-    def test_pair_past_the_diameter_is_added(self, monkeypatch):
+    # the solve never changes its working set: a converged point with a pair
+    # past the diameter or a negative multiplier is returned, and verify
+    # judges it
+
+    def test_pair_past_the_diameter_is_returned(self):
         # the regular 15-gon without its diameter pair (0, 7): the working
         # set converges in 7 steps with the pair (8, 14) at distance 2.18
         config = regular_ngon(15)
         act = [p for p in verify(config).active_set if p != (0, 7)]
-        sets, _ = _working_sets(monkeypatch, config, act)
-        assert sets[:2] == [act, sorted(act + [(8, 14)])]
+        (ok, steps), z, polished = _polished(config, act)
+        assert ok and steps == 7
+        d = pairwise_distances(z)
+        assert np.unravel_index(d.argmax(), d.shape) == (8, 14)
+        assert d.max() == pytest.approx(2.1839, abs=1e-4)
+        assert verify(polished).stationarity_residual == pytest.approx(8.0, abs=0.05)
+        assert not maximizer_structure_report(polished).all_ok
 
-    def test_negative_multiplier_is_dropped_unless_kept(self, monkeypatch):
+    def test_negative_multiplier_set_is_returned(self):
         # hexagon6 without its diameter pair (0, 5): the working set
         # converges in 7 steps, no pair past distance 2, with the multiplier
-        # of (1, 2) at -0.59
+        # of (1, 2) negative; verify's nonnegative fit leaves a residual
         config = hexagon6()
         act = [p for p in verify(config).active_set if p != (0, 5)]
-        sets, _ = _working_sets(monkeypatch, config, act)
-        assert sets[:2] == [act, [p for p in act if p != (1, 2)]]
-        monkeypatch.undo()
-        sets, (ok, steps) = _working_sets(monkeypatch, config, act, keep=frozenset({(1, 2)}))
-        assert sets == [act] and ok and steps == 7
+        (ok, steps), _, polished = _polished(config, act)
+        assert ok and steps == 7
+        assert verify(polished).stationarity_residual == pytest.approx(0.705, abs=1e-3)
+
+
+@pytest.mark.parametrize("k, value", [(3, 1.2833475), (4, 1.2821194)], ids=["n18", "n24"])
+def test_construction_polished_without_ascent(k, value):
+    # the bent arc polygon, polished on verify's active set from verify's
+    # multipliers, reaches the record of its order without an ascent
+    config = arc_polygon(k).P
+    (ok, steps), _, polished = _polished(config, list(verify(config).active_set))
+    assert ok and steps <= 4
+    assert math.exp(log_delta_bar(polished)) == pytest.approx(value, abs=5e-8)
+    assert verify(polished).stationarity_residual < 1e-11
+    assert maximizer_structure_report(polished).all_ok
 
 
 def test_optimizer_builds_no_distance_matrix(monkeypatch):
-    # the rescale, the first working set, the pair that Newton adds and the
-    # multipliers it refits after a drop come from the one pass over the
-    # pairs and the one multiplier fit
+    # the rescale and the Newton working set come from the one pass over the
+    # pairs
     def refuse(z):
         raise AssertionError("an n x n distance matrix was built")
 
@@ -270,14 +284,6 @@ def test_optimizer_builds_no_distance_matrix(monkeypatch):
     assert all(s.trace and s.termination == "gradient-converged" for s in result.starts)
     result = maximize_with_graph(6, conjectured_even_graph(6), OptimizeOptions(seed=0, starts=2))
     assert result.achieved_matches_request and result.termination == "gradient-converged"
-    config = regular_ngon(15)
-    act = [p for p in verify(config).active_set if p != (0, 7)]
-    sets, _ = _working_sets(monkeypatch, config, act)
-    assert sets[:2] == [act, sorted(act + [(8, 14)])]
-    config = hexagon6()
-    act = [p for p in verify(config).active_set if p != (0, 5)]
-    sets, _ = _working_sets(monkeypatch, config, act)
-    assert sets[:2] == [act, [p for p in act if p != (1, 2)]]
 
 
 class TestMerit:
