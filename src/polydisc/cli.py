@@ -4,7 +4,8 @@ Configurations persist as JSON ({schema_version, n, points, meta}) with
 full-precision decimal floats; tables as CSV; optional SVG renderings show
 the points, convex hull, unit-circle guide, and highlighted diameter edges.
 
-Exit codes: 0 success, 2 usage/validation, 3 I/O failure, 4 numerical failure.
+Exit codes: 0 success, 2 usage/validation or a request too large for memory,
+3 I/O failure, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -432,6 +433,10 @@ def main(argv=None) -> int:
     except (_UsageError, InvalidConfigError, json.JSONDecodeError,
             UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: request too large for memory: {str(exc) or 'no detail'}",
+              file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

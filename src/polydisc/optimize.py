@@ -254,9 +254,10 @@ def _line_search(z, direction, phi, lam, mu, lo):
 
     A row whose last trial so far rounds to z itself fails at once: every
     smaller step rounds to z too, and the merit there is phi.  Returns
-    (found, z_new, phi_new): ``found`` is None when every row found one,
-    else the mask of the rows that did.
+    (found, z_new, phi_new): ``found`` masks the rows whose merit rose, and
+    the other rows keep their z and phi.
     """
+    z_new, phi_new = z.copy(), phi.copy()
     todo = np.arange(len(z))
     sel = slice(None)  # rows of todo, without a gather while it holds all
     for first in range(0, len(_HALVINGS), _TRIALS_PER_CALL):
@@ -266,21 +267,14 @@ def _line_search(z, direction, phi, lam, mu, lo):
         better = phi_t > phi[sel, None]
         j = better.argmax(axis=1)
         hit = better.any(axis=1)
-        if first == 0:
-            if hit.all():
-                return None, zt[todo, j], phi_t[todo, j]
-            found = np.zeros(len(z), dtype=bool)
-            z_new = np.empty_like(z)
-            phi_new = np.empty(len(z))
         rows, j = todo[hit], j[hit]
-        found[rows] = True
         z_new[rows] = zt[hit, j]
         phi_new[rows] = phi_t[hit, j]
         left = ~hit & (zt[:, -1] != z[sel]).any(axis=1)
         todo = sel = todo[left]
         if not todo.size:
             break
-    return found, z_new, phi_new
+    return phi_new > phi, z_new, phi_new
 
 
 def _violation(g, eq):
@@ -300,11 +294,12 @@ def _al_phase(z, eq, traces=None):
     and that step counts as one of its iterations.  After the round, each of
     its starts updates its multipliers.  It leaves the ascent after _ROUNDS
     rounds, once its constraint violation is below _TOL_CONSTRAINT after a
-    round that it left before its last step, or after _STALL_ROUNDS
-    consecutive rounds each of which cut its violation by more than 2x but
-    by no more than 4x; a start that stays grows its penalty 10x unless the
-    round cut its violation by more than 4x.  Once every start of a round
-    passes its gradient test, the round ends without computing a step.
+    round that it left before its last step, or, if it has a prescribed
+    edge, after _STALL_ROUNDS consecutive rounds each of which cut its
+    violation by more than 2x but by no more than 4x; a start that stays
+    grows its penalty 10x unless the round cut its violation by more than
+    4x.  Once every start of a round passes its gradient test, the round
+    ends without computing a step.
 
     ``eq`` is the (S, n, n) mask of equality pairs: their multiplier floor
     is -inf, every other pair's is 0.  ``traces``, when given, holds one list
@@ -314,7 +309,7 @@ def _al_phase(z, eq, traces=None):
     penalty of its last round.
     """
     S, n = z.shape
-    z = z.copy()
+    z = z.copy()  # each start's one copy of its point, stepped in place
     lam = np.zeros((S, n, n))
     lo = np.where(eq, -np.inf, 0.0)
     mu = np.full(S, _PENALTY_INIT)
@@ -324,36 +319,30 @@ def _al_phase(z, eq, traces=None):
     rounds = np.zeros(S, dtype=int)
     ids = np.arange(S)  # the starts still ascending
     for rnd in range(_ROUNDS):
-        # the starts still stepping in this round, and their rows
-        live, zl, laml, mul, lol = ids, z[ids], lam[ids], mu[ids], lo[ids]
+        # the starts still stepping in this round, and their fixed merit terms
+        live, laml, mul, lol = ids, lam[ids], mu[ids], lo[ids]
         gtol = np.maximum(1e-9, 1e-3 / mul)
-        phi = _merit_value(zl, laml, mul, lol)
+        phi = _merit_value(z[live], laml, mul, lol)
         for k in range(1, _ROUND_STEPS + 1):
-            d, hess = _merit_derivatives(zl, laml, mul, lol)
+            d, hess = _merit_derivatives(z[live], laml, mul, lol)
             go = np.maximum.reduce(np.abs(d), axis=1) >= gtol
-            if not go.any():  # every row passed its gradient test: no step
-                found, z_new = None, zl[go]
-            else:
+            if go.any():
                 sub = slice(None) if go.all() else go
-                found, z_new, phi = _line_search(
-                    zl[sub], _newton_step(zl[sub], d[sub], hess[sub]), phi[sub],
+                rows = live[sub]
+                found, z[rows], phi[sub] = _line_search(
+                    z[rows], _newton_step(z[rows], d[sub], hess[sub]), phi[sub],
                     laml[sub], mul[sub], lol[sub])
-            if found is not None:
                 go[go] = found
-                z_new, phi = z_new[found], phi[found]
             if not go.all():  # the rows that did not move end their round
-                stop = ~go
-                z[live[stop]] = zl[stop]
-                used[live[stop]] += k
-                live, laml, mul, lol, gtol = live[go], laml[go], mul[go], lol[go], gtol[go]
-            zl = z_new
+                used[live[~go]] += k
+                live, phi, laml, mul, lol, gtol = (
+                    live[go], phi[go], laml[go], mul[go], lol[go], gtol[go])
             if traces is not None:
-                for i, zi, p in zip(live.tolist(), zl, phi):
-                    ldb = log_delta_bar(PointConfig.from_complex(zi))
+                for i, p in zip(live.tolist(), phi):
+                    ldb = log_delta_bar(PointConfig.from_complex(z[i]))
                     traces[i].append((rnd, int(used[i]) + k, float(p), float(ldb)))
             if not live.size:
                 break
-        z[live] = zl
         used[live] += _ROUND_STEPS
         rounds[ids] += 1
         # multiplier and penalty update of the round's starts
@@ -365,7 +354,8 @@ def _al_phase(z, eq, traces=None):
         viol_prev[ids] = v
         # a start whose round used every step is not stationary yet
         done = (v < _TOL_CONSTRAINT) & ~np.isin(ids, live)
-        done |= (stalls[ids] >= _STALL_ROUNDS) | (rnd == _ROUNDS - 1)
+        done |= (stalls[ids] >= _STALL_ROUNDS) & eq[ids].any(axis=(1, 2))
+        done |= rnd == _ROUNDS - 1
         mu[ids[grow & ~done]] *= _PENALTY_GROWTH
         ids = ids[~done]
         if not ids.size:
@@ -498,15 +488,14 @@ def _solve(n: int, opts: OptimizeOptions, edge_sets):
     for lo in range(0, len(jobs), chunk):
         part = jobs[lo:lo + chunk]
         z = np.array([_start_config(n, opts.seed, s, edges) for edges, s in part])
-        keeps = [edges or frozenset() for edges, _ in part]
         eq = np.zeros((len(part), n, n), dtype=bool)
-        for r, keep in enumerate(keeps):
-            for a, b in keep:
+        for r, (edges, _) in enumerate(part):
+            for a, b in edges or ():
                 eq[r, a, b] = eq[r, b, a] = True
         traces = [[] for _ in part] if opts.record_trace else None
         z, lam, used, rounds, mu = _al_phase(z, eq, traces)
-        results += [_polish(s, z[r], lam[r], used[r], rounds[r], mu[r], keeps[r],
-                            traces[r] if traces else None)
+        results += [_polish(s, z[r], lam[r], used[r], rounds[r], mu[r],
+                            upper_pairs(eq[r]), traces[r] if traces else None)
                     for r, (_, s) in enumerate(part)]
     return [results[i:i + opts.starts] for i in range(0, len(results), opts.starts)]
 

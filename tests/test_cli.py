@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from polydisc import asymptotics
 from polydisc.cli import _UsageError, main, read_config, write_config, write_svg
 from polydisc.geometry import PointConfig
 
@@ -289,6 +290,15 @@ class TestAsym:
 
     def test_unknown_name(self):
         assert run("asym", "bogus") == 2
+
+    def test_request_too_large_for_memory(self, monkeypatch, capsys):
+        def refuse(regime, k):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        monkeypatch.setattr(asymptotics, "regime_product", refuse)
+        assert run("asym", "--converge", "1", "100000") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_no_arguments(self):
         assert run("asym") == 2

@@ -346,9 +346,12 @@ class TestNewtonAscent:
         start = maximize_with_graph(8, conjectured_even_graph(8), opts).starts[2]
         assert start.al_rounds == optimize._ROUNDS and start.final_penalty > 1e8
 
-    def test_stall_streak_ends_only_mu_half_violations(self, monkeypatch):
+    @pytest.mark.parametrize("edge, rounds_0, mu_0", [(True, 4, 1e3), (False, 12, 1e11)],
+                             ids=["edge", "free"])
+    def test_stall_streak_ends_only_mu_half_violations(self, monkeypatch, edge, rounds_0, mu_0):
         # two starts of one stack with scripted violations: start 0's falls
-        # by sqrt(10) per round, start 1's stays flat at 2e-10
+        # by sqrt(10) per round, start 1's stays flat at 2e-10; the streak
+        # ends start 0 only when it has a prescribed edge
         falling = 1e-2 / np.sqrt(10.0) ** np.arange(12)
         script = iter(np.stack([falling, np.full(12, 2e-10)], axis=1))
         rows = []
@@ -360,36 +363,47 @@ class TestNewtonAscent:
         monkeypatch.setattr(optimize, "_violation", violation)
         monkeypatch.setattr(optimize, "_ROUND_STEPS", 1)
         z = np.array([optimize._start_config(6, 0, s) for s in range(2)])
-        _, _, used, rounds, mu = optimize._al_phase(z, np.zeros((2, 6, 6), bool))
+        eq = np.zeros((2, 6, 6), bool)
+        eq[0, 0, 3] = eq[0, 3, 0] = edge
+        _, _, used, rounds, mu = optimize._al_phase(z, eq)
         # round 0 sets the reference, rounds 1-3 stall
-        assert rounds.tolist() == [4, 12] and rows == [2] * 4 + [1] * 8
-        assert mu.tolist() == [1e3, 1e11]
-        assert used.tolist() == [4, 12]
+        assert rounds.tolist() == [rounds_0, 12]
+        assert rows == [2] * rounds_0 + [1] * (12 - rounds_0)
+        assert mu.tolist() == [mu_0, 1e11]
+        assert used.tolist() == [rounds_0, 12]
 
     def test_line_search_below_roundoff_fails_at_once(self, monkeypatch):
         # row 0 takes a Newton step; row 1's direction rounds away at every
-        # trial step, so the 50-halving search tries all 50 and finds none
-        z = np.array([optimize._start_config(6, 0, s) for s in range(2)])
-        lam, mu, lo = np.zeros((2, 6, 6)), np.full(2, 10.0), np.zeros((2, 6, 6))
+        # trial step, so the 50-halving search tries all 50 and finds none;
+        # row 2's direction is 1000 Newton steps, so its full step overshoots
+        # and a later merit call finds its step
+        z = np.array([optimize._start_config(6, 0, s) for s in range(3)])
+        lam, mu, lo = np.zeros((3, 6, 6)), np.full(3, 10.0), np.zeros((3, 6, 6))
         grad, hess = optimize._merit_derivatives(z, lam, mu, lo)
-        direction = optimize._newton_step(z, grad, hess) * np.array([[1.0], [1e-30]])
+        direction = optimize._newton_step(z, grad, hess) * np.array([[1.0], [1e-30], [1e3]])
         phi = optimize._merit_value(z, lam, mu, lo)
-        reference = []
-        for r in range(2):
-            for t in optimize._HALVINGS:
+        reference = {}
+        for r in range(3):
+            for k, t in enumerate(optimize._HALVINGS):
                 zt = z[r] + t * direction[r]
                 phi_t = optimize._merit_value(zt[None], lam[r:r + 1], mu[r:r + 1], lo[r:r + 1])[0]
                 if phi_t > phi[r]:
-                    reference.append((zt, phi_t))
+                    reference[r] = (k, zt, phi_t)
                     break
-        assert len(reference) == 1
+        assert sorted(reference) == [0, 2]
+        assert reference[0][0] < optimize._TRIALS_PER_CALL <= reference[2][0]
         calls = []
         merit = optimize._merit_value
-        monkeypatch.setattr(optimize, "_merit_value", lambda *a: calls.append(None) or merit(*a))
+        monkeypatch.setattr(optimize, "_merit_value",
+                            lambda zt, *a: calls.append(len(zt)) or merit(zt, *a))
         found, z_new, phi_new = optimize._line_search(z, direction, phi, lam, mu, lo)
-        assert found.tolist() == [True, False]
-        assert np.array_equal(z_new[0], reference[0][0]) and phi_new[0] == reference[0][1]
-        assert len(calls) == 1  # the 50-halving search made 17 merit calls
+        assert found.tolist() == [True, False, True]
+        for r in (0, 2):
+            assert np.array_equal(z_new[r], reference[r][1]) and phi_new[r] == reference[r][2]
+        assert np.array_equal(z_new[1], z[1]) and phi_new[1] == phi[1]
+        # rows 0 and 1 leave after the first merit call (the 50-halving search
+        # made 17 for row 1); row 2 goes on alone
+        assert calls == [3] + [1] * (reference[2][0] // optimize._TRIALS_PER_CALL)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_n6_free_starts_converge(self, seed):
@@ -409,6 +423,15 @@ class TestNewtonAscent:
         assert report.min_multiplier >= 0.0
         assert maximizer_structure_report(result.config).all_ok
         assert result.delta_bar > 1.24
+
+    def test_free_search_at_n48_beats_the_regular_polygon(self):
+        # free starts here stall by round 4 at penalty 1e3 and must keep
+        # ascending: ended there, the winner is the regular 48-gon (1.0),
+        # which fails the screen
+        result = maximize_free(48, OptimizeOptions(seed=0, starts=16))
+        assert result.termination == "gradient-converged"
+        assert maximizer_structure_report(result.config).all_ok
+        assert result.delta_bar > 1.28
 
 
 class TestMaximizeWithGraph:
