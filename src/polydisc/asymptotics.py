@@ -338,4 +338,5 @@ def constant(name: str) -> ConstantReport:
         return ConstantReport(name, closed, alt,
                               alt_route="exp(-(pi^2/12)^2 J/2) with series J",
                               abs_discrepancy=abs(closed - alt), tolerance=1e-8)
-    raise InvalidConfigError(f"unknown constant {name!r}; choose from {CONSTANT_NAMES}")
+    raise InvalidConfigError(
+        f"unknown constant {name!r}; choose from {', '.join(CONSTANT_NAMES)}")

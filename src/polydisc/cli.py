@@ -6,6 +6,10 @@ the points, convex hull, unit-circle guide, and highlighted diameter edges.
 
 Exit codes: 0 success, 2 usage/validation or a request too large for memory,
 3 I/O failure, 4 numerical failure.
+
+Input rules live in the library functions that own them; the commands check
+only what those cannot see.  `main` alone maps exceptions to exit codes, each
+with one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -59,10 +63,12 @@ def read_config(path: str) -> tuple[PointConfig, dict]:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise _UsageError(f"{path} does not hold a configuration object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    version, n = doc.get("schema_version"), doc.get("n")
+    # JSON true equals 1 in Python, so booleans are refused before comparing
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise _UsageError(f"unsupported schema_version in {path}")
     points = doc.get("points", [])
-    if not isinstance(points, list) or len(points) != doc.get("n"):
+    if isinstance(n, bool) or not isinstance(points, list) or len(points) != n:
         raise _UsageError("point count does not match n")
     if not all(isinstance(p, list) and len(p) == 2 and all(map(_is_number, p))
                for p in points):
@@ -133,9 +139,9 @@ def write_svg(path: str, config: PointConfig) -> None:
 def _build_family(args) -> tuple[PointConfig, dict]:
     family = args.family
     meta: dict = {"family": family}
+    if args.n is None and family in ("regular", "arc", "sparse-arc", "triwave"):
+        raise _UsageError(f"{family} requires --n")
     if family == "regular":
-        if args.n is None or args.n < 2:
-            raise _UsageError("regular requires --n >= 2")
         cfg = constructions.regular_ngon(args.n)
     elif family == "kite4":
         cfg = constructions.kite4()
@@ -145,23 +151,17 @@ def _build_family(args) -> tuple[PointConfig, dict]:
         alpha, cfg = constructions.dodecagon12()
         meta["alpha"] = alpha
     elif family == "arc":
-        if args.n is None or args.n % 6 != 0 or args.n < 6:
+        if args.n % 6 != 0 or args.n < 6:
             raise _UsageError("arc requires --n divisible by 6")
         cfg = constructions.arc_polygon(args.n // 6).P
     elif family == "sparse-arc":
-        if args.n is None or args.n % 2 != 0 or args.n < 4:
-            raise _UsageError("sparse-arc requires even --n >= 4")
         cfg = constructions.sparse_arc(args.n)
-    elif family == "triwave":
-        if args.n is None or args.n % 2 != 0 or args.n < 8:
-            raise _UsageError("triwave requires --n even and >= 8 (n must be even >= 8)")
+    else:
         tw = constructions.triwave(args.n, m_frequency=args.m_frequency,
                                    amplitude=args.amplitude)
         meta["m_frequency"] = tw.m_frequency
         meta["amplitude"] = tw.amplitude
         cfg = tw.config
-    else:
-        raise _UsageError(f"unknown family {family!r}")
     ldb = geometry.log_delta_bar(cfg)
     meta["log_delta_bar"] = ldb
     meta["delta_bar"] = math.exp(ldb)
@@ -170,21 +170,15 @@ def _build_family(args) -> tuple[PointConfig, dict]:
 
 def cmd_construct(args) -> int:
     cfg, meta = _build_family(args)
-    try:
-        write_config(args.out, cfg, meta)
-        if args.svg:
-            write_svg(args.svg, cfg)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    write_config(args.out, cfg, meta)
+    if args.svg:
+        write_svg(args.svg, cfg)
     print(f"wrote {args.out}: n={cfg.n} delta_bar={meta['delta_bar']:.9f}")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
     cfg, _meta = read_config(args.path)
-    if cfg.n < 2:
-        raise _UsageError("need at least 2 points to evaluate")
     report = geometry.evaluate(cfg)
     delta_bar = geometry.normalized_discriminant(cfg, rescale_to_diameter=True)
     normalized = geometry.normalize_to_diameter(cfg, 2.0)
@@ -215,10 +209,7 @@ def cmd_optimize(args) -> int:
     opts = optimize.OptimizeOptions(
         seed=args.seed, starts=args.starts, record_trace=bool(args.trace_csv))
     if args.graph:
-        graph = _parse_graph_arg(args.graph)
-        if graph.n != args.n:
-            raise _UsageError("graph order does not match --n")
-        result = optimize.maximize_with_graph(args.n, graph, opts)
+        result = optimize.maximize_with_graph(args.n, _parse_graph_arg(args.graph), opts)
     else:
         result = optimize.maximize_free(args.n, opts)
     meta = {
@@ -236,19 +227,14 @@ def cmd_optimize(args) -> int:
         meta["requested_graph"] = result.requested_graph.to_text()
         meta["achieved_matches_request"] = result.achieved_matches_request
         meta["graph_infeasible"] = result.graph_infeasible
-    try:
-        write_config(args.out, result.config, meta)
-        if args.trace_csv:
-            with open(args.trace_csv, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["start", "round", "step", "merit", "log_delta_bar"])
-                for summary in result.starts:
-                    for rnd, step, merit, ldb in summary.trace:
-                        writer.writerow([summary.index, rnd, step,
-                                         repr(merit), repr(ldb)])
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    write_config(args.out, result.config, meta)
+    if args.trace_csv:
+        with open(args.trace_csv, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["start", "round", "step", "merit", "log_delta_bar"])
+            for summary in result.starts:
+                for rnd, step, merit, ldb in summary.trace:
+                    writer.writerow([summary.index, rnd, step, repr(merit), repr(ldb)])
     print(f"n={args.n} delta_bar={result.delta_bar:.9f} "
           f"termination={result.termination} residual={result.kkt_residual:.2e}")
     return EXIT_OK
@@ -289,22 +275,16 @@ def cmd_table(args) -> int:
             raise _UsageError(f"no selected family applies to n={n}")
         rows.append([n, repr(best_ld), repr(math.exp(best_ld - n * math.log(n))),
                      section4])
-    try:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "log_delta", "delta_bar", "delta_bar_section4"])
-            writer.writerows(rows)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with open(args.out, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["n", "log_delta", "delta_bar", "delta_bar_section4"])
+        writer.writerows(rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_OK
 
 
 def cmd_kkt(args) -> int:
     cfg, _meta = read_config(args.path)
-    if cfg.n < 2:
-        raise _UsageError("need at least 2 points")
     normalized = geometry.normalize_to_diameter(cfg, 2.0)
     report = kkt.verify(normalized, args.rel_tol)
     doc = {
@@ -337,13 +317,9 @@ def cmd_asym(args) -> int:
         expected = float(1 - abs(k - 1)) if k + l == 2 else 0.0
         print(f"torus average of R_{k} R_{l}: {value:.12f} (expected {expected})")
         return EXIT_OK
-    name = args.name
-    if name is None:
+    if args.name is None:
         raise _UsageError("asym needs a constant name, --converge, or --rk")
-    if name not in asymptotics.CONSTANT_NAMES:
-        raise _UsageError(
-            f"unknown constant {name!r}; choose from {', '.join(asymptotics.CONSTANT_NAMES)}")
-    report = asymptotics.constant(name)
+    report = asymptotics.constant(args.name)
     if args.json:
         print(json.dumps({
             "name": report.name,

@@ -87,7 +87,9 @@ def _constraint_matrix(z, a, b):
     then the y coordinates, one column per pair.  The gradients in z_a are
     2 (z_a - z_b), those in z_b their negatives."""
     # each part doubled on its own: a complex product by 2 can flip the sign
-    # of a zero part, which the Newton step's least-squares solver reads
+    # of a zero part, which the Newton step's least-squares solver reads.  The
+    # plain 2 * (z[a] - z[b]) changed none of the 1,444 rows of the optimizer
+    # panel in CHANGES.md, so this guards byte equality, not a measured move
     return _column_matrix((2 * (z[a] - z[b]).view(float)).view(complex), a, b, len(z))
 
 
@@ -96,7 +98,11 @@ def _constraint_gaps(z, a, b):
     # rounded like the scalar abs(w) ** 2: np.hypot is the scalar complex
     # abs, and the float power (libm pow) can differ from the vectorized
     # square in the last bit, which Newton would carry into its result.  Past
-    # the float range the power raises OverflowError, and the product is inf
+    # the float range the power raises OverflowError, and the product is inf.
+    # np.abs(z[a] - z[b]) ** 2 - 4.0 changed 832 of the 1,444 rows of the
+    # optimizer panel in CHANGES.md: 17 result active sets, 11 iteration
+    # counts, log Delta-bar by up to 1.4e-13 and, through near-ties, the
+    # ranking of graphs in 7 of its 12 sweeps
     w = z[a] - z[b]
     return np.array([x ** 2 if x < 1e150 else x * x
                      for x in np.hypot(w.real, w.imag).tolist()]) - 4.0

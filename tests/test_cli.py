@@ -128,12 +128,22 @@ class TestEvaluate:
     def test_missing_file(self):
         assert run("evaluate", "/no/such/file.json") == 3
 
-    @pytest.mark.parametrize("command", ["evaluate", "kkt"])
-    def test_json_list_rejected(self, tmp_path, capsys, command):
+    # a list in place of an object, and boolean header fields, which equal 1
+    @pytest.mark.parametrize("command,text", [
+        (command, text)
+        for text in ("[[0, 0], [1, 1]]",
+                     '{"schema_version": true, "n": 2, "points": [[0, 0], [1, 1]]}',
+                     '{"schema_version": 1, "n": true, "points": [[0, 0]]}')
+        for command in ("evaluate", "kkt")
+    ], ids=["evaluate", "kkt", "evaluate-bool-schema_version", "kkt-bool-schema_version",
+            "evaluate-bool-n", "kkt-bool-n"])
+    def test_json_list_rejected(self, tmp_path, capsys, command, text):
         path = tmp_path / "list.json"
-        path.write_text("[[0, 0], [1, 1]]")
+        path.write_text(text)
         assert run(command, str(path)) == 2
         assert capsys.readouterr().err.startswith("error:")
+        with pytest.raises(_UsageError):
+            read_config(str(path))
 
     @pytest.mark.parametrize("command", ["evaluate", "kkt"])
     @pytest.mark.parametrize("points", ['[["a", 0], [1, 1]]', "[[0, 0], [1, 1, 2]]",
@@ -302,3 +312,38 @@ class TestAsym:
 
     def test_no_arguments(self):
         assert run("asym") == 2
+
+
+class TestErrorPaths:
+    # D is a scratch directory, X a directory that does not exist and one.json
+    # a file holding one point
+    @pytest.mark.parametrize("argv,code", [
+        ("construct --family regular --out {D}/k.json", 2),
+        ("construct --family regular --n 1 --out {D}/k.json", 2),
+        ("construct --family arc --out {D}/k.json", 2),
+        ("construct --family arc --n 7 --out {D}/k.json", 2),
+        ("construct --family arc --n 0 --out {D}/k.json", 2),
+        ("construct --family arc --n -6 --out {D}/k.json", 2),
+        ("construct --family sparse-arc --out {D}/k.json", 2),
+        ("construct --family sparse-arc --n 5 --out {D}/k.json", 2),
+        ("construct --family triwave --out {D}/k.json", 2),
+        ("construct --family triwave --n 7 --out {D}/k.json", 2),
+        ("optimize --n 5 --graph 4;1-2 --out {D}/o.json", 2),
+        ("evaluate {D}/one.json", 2),
+        ("kkt {D}/one.json", 2),
+        ("asym nope", 2),
+        ("asym", 2),
+        ("construct --family kite4 --out {X}/k.json", 3),
+        ("construct --family kite4 --out {D}/k.json --svg {X}/k.svg", 3),
+        ("optimize --n 4 --starts 2 --out {X}/o.json", 3),
+        ("optimize --n 4 --starts 2 --out {D}/o.json --trace-csv {X}/t.csv", 3),
+        ("table --n 12 --families arc --out {X}/t.csv", 3),
+    ])
+    def test_exit_code_and_one_error_line(self, tmp_path, capsys, argv, code):
+        write_config(str(tmp_path / "one.json"), PointConfig([[0.0, 0.0]]), {})
+        assert run(*argv.format(D=tmp_path, X=tmp_path / "missing").split()) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err + captured.out
+        if code == 2:
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["one.json"]
