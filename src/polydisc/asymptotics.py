@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constructions import tri
+from .constructions import default_triwave_amplitude, tri
 from .errors import InvalidConfigError, QuadratureError
 
 SQRT3 = math.sqrt(3.0)
@@ -299,8 +299,7 @@ def triwave_prediction(n: int) -> float:
     -(n t_n)^2 / 2 times the discrete quadratic-form average."""
     if n < 8 or n % 2 != 0:
         raise InvalidConfigError("need even n >= 8")
-    t_n = math.pi ** 2 / (12.0 * n) * (1.0 - 1.0 / n)
-    return -((n * t_n) ** 2) / 2.0 * j_riemann(n)
+    return -((n * default_triwave_amplitude(n)) ** 2) / 2.0 * j_riemann(n)
 
 
 def even_bound_closed() -> float:

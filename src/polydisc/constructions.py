@@ -27,9 +27,13 @@ def regular_ngon(n: int) -> PointConfig:
     """
     if n < 2:
         raise InvalidConfigError("need n >= 2")
-    radius = 1.0 if n % 2 == 0 else 1.0 / math.cos(math.pi / (2 * n))
-    z = radius * np.exp(2j * math.pi * np.arange(n) / n)
+    z = _circumradius(n) * np.exp(2j * math.pi * np.arange(n) / n)
     return PointConfig.from_complex(z)
+
+
+def _circumradius(n: int) -> float:
+    """Circumradius of the regular n-gon of diameter 2."""
+    return 1.0 if n % 2 == 0 else 1.0 / math.cos(math.pi / (2 * n))
 
 
 def kite4() -> PointConfig:

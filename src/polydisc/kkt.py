@@ -15,9 +15,9 @@ pair by pair and Cholesky-factored, with one step of iterative refinement.
 Two pairs couple in the normal matrix only when they share a point, and a
 maximizer's diameter graph is a caterpillar or an odd cycle with pendants,
 so a row has a few nonzeros.  Fits of more than one Cholesky block of pairs
-are ordered breadth first over shared points, which makes the matrix
-banded, and factored a block of columns at a time, each block updating only
-the later rows coupled to it.  Numerically dependent columns, or products
+are ordered by direction, folded, which makes the matrix banded, and
+factored a block of columns at a time, each block updating only the later
+rows coupled to it.  Numerically dependent columns, or products
 past the float range, fall back to np.linalg.lstsq on the dense system.
 verify and recover_multipliers take one pass over the pairs
 (geometry._pair_rows) and hold no n x n array: each block of pair
@@ -159,9 +159,10 @@ def _cholesky_factor(N):
     N, which it overwrites: np.linalg.cholesky factors the diagonal block,
     and only the span of later rows coupled to the block takes its panel and
     the Schur update, in place, on the lower triangle, a block of columns at
-    a time.  A banded N, as _fit orders it, then costs O(m) blocks, and a
-    dense one makes no temporary larger than a block of columns.  LAPACK
-    sees no matrix larger than a block, so none copies the whole of N.
+    a time.  A banded N, as _fit orders it by direction, folded, then costs
+    O(m) blocks, and a dense one makes no temporary larger than a block of
+    columns.  LAPACK sees no matrix larger than a block, so none copies the
+    whole of N.
 
     The blocks are inverted by substitution row by row, not by
     np.linalg.solve, so the solves take only matrix products: the first call
@@ -227,8 +228,7 @@ def _normal_solve(N, Atg, w, a, b, g):
 
 
 def _nnls_project_resolve(w, a, b, g) -> np.ndarray:
-    """Least squares with nonnegativity by clamp-and-resolve iteration, at
-    most two rounds more than there are columns.
+    """Least squares with nonnegativity by clamp-and-resolve iteration.
 
     Fits the complex n-vector g by nonnegative weights of columns holding w_c
     at point a_c and -w_c at point b_c, as 2n real equations.  Each solve
@@ -266,9 +266,9 @@ def _nnls_project_resolve(w, a, b, g) -> np.ndarray:
 
     lam = solve(np.ones(len(w), dtype=bool), N)
     del N
-    for _ in range(len(w) + 2):
-        if (lam >= -1e-12).all():
-            break
+    # each refit's support is strictly smaller than the last, so this ends;
+    # a NaN weight fails the test as a negative one does
+    while not (lam >= -1e-12).all():
         support = lam > 1e-12
         refit = np.zeros_like(lam)
         if support.any():
@@ -277,41 +277,18 @@ def _nnls_project_resolve(w, a, b, g) -> np.ndarray:
     return np.maximum(lam, 0.0)
 
 
-def _band_order(a, b) -> np.ndarray:
-    """The pairs (a, b) in Cuthill-McKee order: breadth first over shared
-    points, each component from a pair with the fewest neighbours, and the
-    pairs at a point by their number of neighbours.
+def _direction_order(w) -> np.ndarray:
+    """The columns w by direction, folded: first, last, second, second to
+    last, and so on.
 
-    Two pairs couple in the normal matrix only when they share a point, so in
-    this order its nonzeros lie in a band as wide as two levels of the search:
-    a few entries on a maximizer's diameter graph, which is a caterpillar or
-    an odd cycle with pendants."""
-    al, bl = a.tolist(), b.tolist()
-    deg = np.bincount(np.concatenate([a, b]))
-    by_degree = np.argsort(deg[a] + deg[b], kind="stable").tolist()
-    pairs_at = [[] for _ in deg]
-    for c in by_degree:
-        pairs_at[al[c]].append(c)
-        pairs_at[bl[c]].append(c)
-    seen = [False] * len(al)
-    order, head = [], 0
-    for root in by_degree:
-        if seen[root]:
-            continue
-        seen[root] = True
-        order.append(root)
-        while head < len(order):
-            c = order[head]
-            head += 1
-            for p in (al[c], bl[c]):
-                # the pairs at a point are all seen once it is visited, so
-                # each point is visited once: O(m) over a star, not O(m^2)
-                for e in pairs_at[p]:
-                    if not seen[e]:
-                        seen[e] = True
-                        order.append(e)
-                pairs_at[p] = ()
-    return np.array(order)
+    Sorted by direction, a maximizer's diameters turn once around the
+    polygon, and two that share a point lie at or next to neighbouring
+    places of that cyclic sequence; the fold keeps cyclic neighbours within
+    two places, so the nonzeros of the normal matrix lie in a narrow band."""
+    turn = np.argsort(np.angle(w) % np.pi, kind="stable")
+    order = np.empty_like(turn)
+    order[0::2], order[1::2] = turn[:(len(w) + 1) // 2], turn[::-1][:len(w) // 2]
+    return order
 
 
 def _fit(z: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -328,7 +305,7 @@ def _fit(z: np.ndarray, a: np.ndarray, b: np.ndarray,
         lam = _nnls_project_resolve(w, a, b, L)
     else:
         # fitted in an order that makes the normal matrix banded
-        order = _band_order(a, b)
+        order = _direction_order(w)
         lam = np.empty(len(a))
         lam[order] = _nnls_project_resolve(w[order], a[order], b[order], L)
     return lam, L - _column_sum(w, a, b, lam, len(z))

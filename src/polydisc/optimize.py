@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import kkt
+from .constructions import _circumradius
 from .diamgraph import (DiameterGraph, enumerate_caterpillars,
                         enumerate_unicyclic_candidates)
 from .errors import InvalidConfigError
@@ -123,10 +124,9 @@ def _start_config(n: int, seed: int, index: int, eq_edges=None) -> np.ndarray:
     irrelevant and the identity assignment is used.
     """
     rng = np.random.default_rng([seed, index])
-    radius = 1.0 if n % 2 == 0 else 1.0 / math.cos(math.pi / (2 * n))
     rad = rng.uniform(-0.1, 0.1, n)
     ang = rng.uniform(-math.pi / n, math.pi / n, n)
-    z = (radius + rad) * np.exp(1j * (2 * math.pi * np.arange(n) / n + ang))
+    z = (_circumradius(n) + rad) * np.exp(1j * (2 * math.pi * np.arange(n) / n + ang))
     if eq_edges:
         slots = np.exp(1j * (2 * math.pi * np.arange(n) / n))
         perm = _edge_stretching_permutation(n, eq_edges, slots, rng)
@@ -564,11 +564,11 @@ def sweep_graphs(n: int, opts: OptimizeOptions = OptimizeOptions()):
     graphs = enumerate_caterpillars(n) + enumerate_unicyclic_candidates(n)
     solved = _solve(n, opts, [g.edges for g in graphs])
     ranked = [(g, _result(results, g)) for g, results in zip(graphs, solved)]
-    # near-ties in value go to the graph that was achieved exactly, then to
-    # the cleaner stationary point
+    # near-ties in value go to the graph that was achieved exactly, then to a
+    # converged result; exact ties keep the enumeration order
     ranked.sort(key=lambda item: (round(item[1].log_delta_bar, 9),
                                   bool(item[1].achieved_matches_request),
-                                  -item[1].kkt_residual), reverse=True)
+                                  item[1].termination == TERM_CONVERGED), reverse=True)
     return ranked
 
 

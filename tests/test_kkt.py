@@ -343,9 +343,23 @@ def _relabeled(config, seed):
     return PointConfig.from_complex(config.as_complex[perm]), perm
 
 
-# more than kkt._BLOCK active pairs each (301 and 120): the fit is ordered
-# breadth first and factored a block at a time
-BANDED = {"regular301": lambda: regular_ngon(301), "arc20": lambda: arc_polygon(20).P}
+def _reflected(config):
+    return PointConfig.from_complex(np.conj(config.as_complex))
+
+
+def _wrapped(config):
+    # rotated so that an active pair's direction is 0 (mod pi): sorted by
+    # direction, the pairs next to it lie at both ends
+    z = config.as_complex
+    a, b = active_set(config)[0]
+    return PointConfig.from_complex(z * np.exp(-1j * np.angle(z[b] - z[a])))
+
+
+# more than kkt._BLOCK active pairs each (301 or 120): the fit is ordered
+# by direction, folded, and factored a block at a time
+BANDED = {"regular301": lambda: regular_ngon(301), "arc20": lambda: arc_polygon(20).P,
+          "arc20_reflected": lambda: _reflected(arc_polygon(20).P),
+          "regular301_wrapped": lambda: _wrapped(regular_ngon(301))}
 
 
 def _lstsq_reference(config, active):
@@ -376,17 +390,37 @@ def test_banded_fit_matches_dense_lstsq(name, floor, monkeypatch):
     assert (np.abs(lam - ref) <= 1e-12 * ref).all()
 
 
-def test_band_order_is_a_narrow_permutation():
-    # the diameter graph of an odd regular polygon is a cycle, and so is its
-    # pairs' sharing graph: breadth first, each pair couples with pairs at
-    # most two places away
-    moved, _ = _relabeled(regular_ngon(301), 7)
-    z = moved.as_complex
-    a, b = kkt._pair_arrays(active_set(moved))
-    order = kkt._band_order(a, b)
+def _bandwidth(config):
+    z = config.as_complex
+    a, b = kkt._pair_arrays(active_set(config))
+    w = np.conj(z[b] - z[a])
+    order = kkt._direction_order(w)
     assert sorted(order.tolist()) == list(range(len(a)))
-    i, j = np.nonzero(kkt._normal_matrix(np.conj(z[b] - z[a])[order], a[order], b[order]))
-    assert np.abs(i - j).max() == 2
+    i, j = np.nonzero(kkt._normal_matrix(w[order], a[order], b[order]))
+    return np.abs(i - j).max()
+
+
+def test_band_order_is_a_narrow_permutation():
+    # the diameters of an odd regular polygon form a cycle whose pairs,
+    # sorted by direction, share a point with their cyclic neighbours: folded,
+    # each pair couples with pairs at most two places away
+    assert _bandwidth(_relabeled(regular_ngon(301), 7)[0]) == 2
+    assert _bandwidth(_relabeled(arc_polygon(20).P, 7)[0]) <= 4
+
+
+def test_order_does_not_change_a_fit_of_any_pairs():
+    # 100 random pairs, no diameter graph: the order changes only the speed
+    rng = np.random.default_rng(3)
+    n = 80
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    pairs = sorted({tuple(sorted(p)) for p in rng.choice(n, size=(150, 2)) if p[0] != p[1]})
+    a, b = kkt._pair_arrays(pairs[:100])
+    L = stationarity_lhs(z)
+    lam, _ = kkt._fit(z, a, b, L)
+    ref = kkt._nnls_project_resolve(np.conj(z[b] - z[a]), a, b, L)
+    assert len(a) > kkt._BLOCK
+    assert 0 < (ref == 0).sum() < len(ref) // 2  # clamped, then refitted
+    assert (np.abs(lam - ref) <= 1e-12 * np.abs(ref)).all()
 
 
 @pytest.mark.parametrize("m", [65, 130, 200])
@@ -403,15 +437,6 @@ def test_block_factor_matches_dense_cholesky(m, density):
     r = rng.normal(size=m)
     assert np.abs(kkt._cholesky_solve(C, inverses, r) - np.linalg.solve(N, r)).max() \
         <= 1e-10 * np.abs(np.linalg.solve(N, r)).max()
-
-
-def test_band_order_of_a_star_and_a_path():
-    # the path 501-502-503 first, its pairs having the fewest neighbours;
-    # then the star: every pair shares point 0, so the first pair reaches
-    # all the others through it, in their order
-    a = np.r_[np.zeros(500, dtype=int), 502, 501]
-    b = np.r_[np.arange(1, 501), 503, 502]
-    assert kkt._band_order(a, b).tolist() == [500, 501] + list(range(500))
 
 
 def test_no_lapack_factor_larger_than_a_block():

@@ -544,6 +544,21 @@ class TestSweep:
             if classify(g).kind == GraphKind.CATERPILLAR and res.delta_bar > 1.25:
                 assert tuple(sorted(g.degrees())) in deletion_keys
 
+    def test_ties_keep_enumeration_order(self):
+        # the residuals of tied graphs differ only by round-off, so they
+        # decide no rank: graphs equal in rounded value, achievement and
+        # convergence stay in the order they were enumerated
+        from polydisc.diamgraph import enumerate_caterpillars, enumerate_unicyclic_candidates
+        enumerated = [g.edges for g in
+                      enumerate_caterpillars(8) + enumerate_unicyclic_candidates(8)]
+        ranked = sweep_graphs(8, OptimizeOptions(seed=1, starts=2))
+        keys = [(round(r.log_delta_bar, 9), r.achieved_matches_request,
+                 r.termination == optimize.TERM_CONVERGED) for _, r in ranked]
+        assert len(set(keys)) < len(keys)  # there are ties to order
+        for key in set(keys):
+            tied = [g.edges for (g, _), k in zip(ranked, keys) if k == key]
+            assert tied == [e for e in enumerated if e in tied]
+
 
 # Output of maximize_free(8, OptimizeOptions(seed=1, starts=16)) recorded
 # from the Newton-step ascent (numpy 2.4, x86-64): per start
