@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidConfigError
-from .geometry import (PointConfig, _convex_position, _distinct_pairs, _pair_rows,
-                       _row_blocks, _unit_scaled)
+from .geometry import (_TOL, PointConfig, _convex_position, _distinct_pairs, _memo,
+                       _pair_rows, _row_blocks, _unit_scaled)
 
 Edge = tuple[int, int]
 
@@ -103,11 +103,18 @@ def extract(config: PointConfig, rel_tol: float = 1e-9) -> DiameterGraph:
 
 
 def _diameter_graph(config: PointConfig, rel_tol: float, distinct: bool = False):
-    """extract, and the pass over the pairs that found the edges, which
-    first rejects coincident points when ``distinct``."""
+    """extract, and the reductions of the pairs that gave the edges: config's
+    memo at _TOL, else a pass of its own.  With ``distinct``, coincident
+    points are rejected first."""
     if config.n < 2:
         raise InvalidConfigError("diameter graph requires n >= 2")
-    found = (_distinct_pairs if distinct else _pair_rows)(config.as_complex, edges=rel_tol)
+    if rel_tol == _TOL:
+        # the structure report, the caller with ``distinct``, takes the log
+        # sum along: a certificate reads log Delta-bar of the same object,
+        # whose distances are then formed once
+        found = _memo(config, logs=distinct, distinct=distinct)
+    else:
+        found = (_distinct_pairs if distinct else _pair_rows)(config.as_complex, edges=rel_tol)
     return DiameterGraph(n=config.n, edges=frozenset(found.edges)), found
 
 
@@ -271,7 +278,7 @@ def check_pairwise_intersection(config: PointConfig, graph: DiameterGraph) -> bo
     Shared endpoints count as one intersection; collinear positive-length
     overlap and disjointness both fail.
     """
-    diam = _distinct_pairs(config.as_complex).diameter
+    diam = _memo(config, distinct=True).diameter
     return _pairwise_intersecting(config.points, diam, graph)
 
 

@@ -6,6 +6,16 @@ The central quantity is the discriminant-style product
 
 evaluated in log space throughout, together with its normalization
 Delta / n^n for configurations rescaled to diameter 2.
+
+Each PointConfig keeps a memo of what its passes over the pairs reduce to
+at the default tolerance _TOL: the diameter and its first far pair, the
+smallest distance, and the diameter-graph edge candidates with their
+distances, all from its first pass, plus the log sum and the stationarity
+sums once a caller asks for them.  So however many checks read one object,
+its distance blocks are formed once and its reciprocal blocks at most once.
+The memo holds O(n + edges) values and no n x n array; calls at another
+tolerance, and the kernels that take an array of points, make their own
+pass.
 """
 
 from __future__ import annotations
@@ -24,6 +34,10 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _HUGE = 2.0 ** 1000
 _PRESCALE = 2.0 ** -600
 
+# the relative tolerance of the default checks, at which a PointConfig's memo
+# keeps its diameter-graph edge candidates
+_TOL = 1e-9
+
 # entries of one temporary block of a pair array (4 MB of complex).
 # Pair kernels at large n run a block of rows at a time, so none holds more
 # than the arrays it returns plus one block: their peak memory then does not
@@ -38,7 +52,11 @@ def _exp(x: float) -> float:
 
 @dataclass(frozen=True)
 class PointConfig:
-    """An ordered list of n planar points, stored as an (n, 2) float array."""
+    """An ordered list of n planar points, stored as an (n, 2) float array.
+
+    Once a check reads its pairs, the object also keeps their reductions
+    (see _memo), outside its dataclass fields.
+    """
 
     points: np.ndarray
 
@@ -68,10 +86,10 @@ class PointConfig:
     def min_pairwise_distance(self) -> float:
         if self.n < 2:
             return math.inf
-        return _pair_rows(self.as_complex, nearest=True).nearest
+        return _memo(self).nearest
 
     def is_distinct(self) -> bool:
-        return self.n < 2 or _pair_rows(self.as_complex, nearest=True).nearest > 0.0
+        return self.n < 2 or _memo(self).nearest > 0.0
 
 
 @dataclass(frozen=True)
@@ -108,18 +126,26 @@ def pairwise_distances(z: np.ndarray) -> np.ndarray:
 @dataclass
 class _Pairs:
     """The reductions of one pass over the pairs: the diameter and the first
-    pair at it always, the others None where not asked for."""
+    pair at it always, the others None where not asked for.  A PointConfig's
+    memo is one of these, its log sum and sums filled in when asked for."""
 
-    diameter: float
+    diameter: float | None
     far: tuple[int, int] | None
     sums: np.ndarray | None = None
     nearest: float | None = None
     log_sum: float | None = None
     active: list | None = None
-    edges: list | None = None
+    edge_pairs: np.ndarray | None = None
+    edge_dist: np.ndarray | None = None
+
+    @property
+    def edges(self) -> list | None:
+        """The rows of edge_pairs as a list of pairs."""
+        return None if self.edge_pairs is None else list(map(tuple, self.edge_pairs.tolist()))
 
 
-def _pair_rows(z, *, sums=False, nearest=False, logs=False, active=None, edges=None) -> _Pairs:
+def _pair_rows(z, *, sums=False, nearest=False, logs=False, active=None, edges=None,
+               distances=True) -> _Pairs:
     """One pass over the pairs of z, a block of rows at a time, forming each
     block of differences z_j - z_k and of distances |z_j - z_k| once.
 
@@ -135,10 +161,17 @@ def _pair_rows(z, *, sums=False, nearest=False, logs=False, active=None, edges=N
     - ``active``: the pairs (i < j) with squared distance at least
       4 (1 - active), in row-major order;
     - ``edges``: the pairs (i < j) with distance at least (1 - edges) times
-      the diameter, in row-major order.
+      the diameter, in row-major order, as the rows of ``edge_pairs``, and
+      their distances as ``edge_dist``.
 
-    No n x n array is held.  The smallest distance comes from the copy of a
-    block's off-diagonal entries that the logs are taken in, or else from
+    A pass without ``distances`` forms the blocks of differences and
+    reciprocals only: it takes the sums, and diameter and far are None.
+
+    No n x n array is held.  The distance of z_j and z_k is that of z_k and
+    z_j to the last bit, so a block of rows lo, lo + 1, ... reads its pairs
+    (i < j) in its columns from lo on, which a pass without the logs and
+    the sums is all it forms.  The smallest distance comes from the copy of
+    a block's off-diagonal entries that the logs are taken in, or else from
     the block with its diagonal set to inf for the while.  A block's edges
     are its pairs past the cut of the largest distance so far, kept with
     their distances and filtered against the final cut at the end.  The logs
@@ -154,31 +187,46 @@ def _pair_rows(z, *, sums=False, nearest=False, logs=False, active=None, edges=N
     huge = sums and np.maximum(np.abs(z.real), np.abs(z.imag)).max(initial=0.0) > _HUGE
     zs = z * _PRESCALE if huge else z
     top, far, low, log_sum = -math.inf, None, math.inf, 0.0
-    pairs, found = [], []
+    pairs, found = [], [(np.empty(0, dtype=int),) * 2 + (np.empty(0),)]
     # differences past the float range are inf; callers reject non-finite sums
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for rows in _row_blocks(n):
             lo = rows.start
-            if sums or nearest and not logs:
-                diagonal = (np.arange(rows.stop - lo), np.arange(lo, rows.stop))
-            diff = z[None, :] - z[rows, None]  # [k, j] = z_j - z_k
-            d = np.abs(diff)
+            k = np.arange(rows.stop - lo)
+            # the logs and the sums read every pair twice, in full rows
+            first = 0 if logs or sums else lo
+            if distances:
+                diff = z[None, first:] - z[rows, None]  # [k, j - first] = z_j - z_k
+                d = np.abs(diff)
             if sums:
-                if huge:
+                if huge or not distances:
                     diff = zs[None, :] - zs[rows, None]
-                diff[diagonal] = 1.0
+                diff[k, lo + k] = 1.0
                 np.divide(1.0, diff, out=diff)
-                diff[diagonal] = 0.0
+                diff[k, lo + k] = 0.0
                 L[rows] = diff.sum(axis=1)
             # freed before the next temporary is made, as d is at the end of
             # the block, so that the allocator hands back the same pages, not
             # fresh ones that fault in on first write
             del diff
+            if not distances:
+                continue
+            # a new largest distance, and the first pair in row-major order
+            # at it, lie in the columns from lo on: the distances left of
+            # them are those of pairs of earlier rows, at most the largest
+            # so far
             at = int(d.argmax())
             if d.flat[at] > top:
                 top = float(d.flat[at])
-                i, j = divmod(at, n)
-                far = (min(lo + i, j), max(lo + i, j))
+                i, j = divmod(at, n - first)
+                far = (min(lo + i, first + j), max(lo + i, first + j))
+            square = d[:, lo - first:]  # [i, j] = |z_{lo + j} - z_{lo + i}|
+            if edges is not None:
+                i, j = _upper(square >= (1.0 - edges) * top)
+                found.append((lo + i, lo + j, square[i, j]))
+            if active is not None:
+                i, j = _upper(np.square(square) >= 4.0 * (1.0 - active))
+                pairs += zip((lo + i).tolist(), (lo + j).tolist())
             if logs:
                 off = _off_diagonal(d, lo)
                 low = min(low, float(off.min()))
@@ -186,18 +234,11 @@ def _pair_rows(z, *, sums=False, nearest=False, logs=False, active=None, edges=N
                     log_sum += float(np.sum(np.log(off, out=off)))
                 del off
             elif nearest:
-                d[diagonal] = np.inf
-                low = min(low, float(d.min()))
-                d[diagonal] = 0.0
-            if active is not None:
-                pairs += upper_pairs(np.square(d) >= 4.0 * (1.0 - active), lo)
-            if edges is not None:
-                block = upper_pairs(d >= (1.0 - edges) * top, lo)
-                # the last block's cut is the final one
-                found.append((block, [d[i - lo, j] for i, j in block]
-                              if rows.stop < n else None))
-            del d
-    result = _Pairs(top, far)
+                square[k, k] = np.inf
+                low = min(low, float(square.min()))
+                square[k, k] = 0.0
+            del d, square
+    result = _Pairs(top if distances else None, far)
     if sums:
         result.sums = L * _PRESCALE if huge else L
     if nearest:
@@ -207,10 +248,11 @@ def _pair_rows(z, *, sums=False, nearest=False, logs=False, active=None, edges=N
     if active is not None:
         result.active = pairs
     if edges is not None:
-        cut = (1.0 - edges) * top
-        result.edges = []
-        for block, dist in found:
-            result.edges += block if dist is None else [p for p, x in zip(block, dist) if x >= cut]
+        i, j, dist = (np.concatenate(part) for part in zip(*found))
+        # the cut of the final diameter: a block's own cut was at most this
+        keep = dist >= (1.0 - edges) * top
+        result.edge_pairs = np.stack((i[keep], j[keep]), axis=1)
+        result.edge_dist = dist[keep]
     return result
 
 
@@ -235,6 +277,36 @@ def _distinct_pairs(z, **reductions) -> _Pairs:
     return found
 
 
+def _memo(config: PointConfig, *, logs: bool = False, sums: bool = False,
+          distinct: bool = False) -> _Pairs:
+    """The reductions of the pairs of config at the tolerance _TOL, formed
+    at most once per object and kept on it.
+
+    The first pass takes the diameter, far, the smallest distance and the
+    diameter-graph edges at _TOL with their distances, which need only
+    comparisons, plus the log sum and the stationarity sums when asked for.
+    A later ask for the log sum takes another distance pass, and one for
+    the sums a pass of differences and reciprocals only.  With
+    ``distinct``, coincident points raise SingularConfigError.
+    """
+    memo = config.__dict__.get("_pairs")
+    if memo is None:
+        memo = _pair_rows(config.as_complex, nearest=True, logs=logs, sums=sums, edges=_TOL)
+        object.__setattr__(config, "_pairs", memo)
+    logs, sums = logs and memo.log_sum is None, sums and memo.sums is None
+    if logs or sums:
+        found = _pair_rows(config.as_complex, logs=logs, sums=sums, distances=logs)
+        if logs:
+            memo.log_sum = found.log_sum
+        if sums:
+            memo.sums = found.sums
+    if memo.sums is not None:
+        memo.sums.setflags(write=False)  # read by every later caller
+    if distinct and memo.nearest == 0.0:
+        raise SingularConfigError("coincident points")
+    return memo
+
+
 def discriminant(config: PointConfig) -> tuple[float, float]:
     """Product of squared pairwise distances, with its natural logarithm.
 
@@ -247,7 +319,7 @@ def discriminant(config: PointConfig) -> tuple[float, float]:
     """
     if config.n <= 1:
         return 1.0, 0.0
-    log_delta = _pair_rows(config.as_complex, logs=True).log_sum
+    log_delta = _memo(config, logs=True).log_sum
     return _exp(log_delta), log_delta
 
 
@@ -255,7 +327,7 @@ def diameter(config: PointConfig) -> float:
     """Largest pairwise distance. Requires n >= 2."""
     if config.n < 2:
         raise InvalidConfigError("diameter requires at least 2 points")
-    return _pair_rows(config.as_complex).diameter
+    return _memo(config).diameter
 
 
 def normalize_to_diameter(config: PointConfig, target: float = 2.0) -> PointConfig:
@@ -293,7 +365,7 @@ def normalized_discriminant(config: PointConfig, rescale_to_diameter: bool = Tru
         raise InvalidConfigError("normalized discriminant requires n >= 1")
     if n == 1:
         return 1.0
-    found = _pair_rows(config.as_complex, logs=True)
+    found = _memo(config, logs=True)
     log_delta = found.log_sum
     if rescale_to_diameter:
         log_delta += n * (n - 1) * math.log(_rescale_factor(found.diameter))
@@ -305,7 +377,7 @@ def log_delta_bar(config: PointConfig) -> float:
     n = config.n
     if n < 2:
         raise InvalidConfigError("log_delta_bar requires n >= 2")
-    found = _pair_rows(config.as_complex, logs=True)
+    found = _memo(config, logs=True)
     log_delta, diam = found.log_sum, found.diameter
     if diam == 0.0 or log_delta == -math.inf:
         return -math.inf
@@ -318,7 +390,7 @@ def evaluate(config: PointConfig) -> EvalReport:
     n = config.n
     if n < 2:
         raise InvalidConfigError("evaluate requires n >= 2")
-    found = _pair_rows(config.as_complex, logs=True)
+    found = _memo(config, logs=True)
     diam = found.diameter
     if diam == 0.0:
         raise InvalidConfigError("zero-diameter configuration")
@@ -335,8 +407,7 @@ def is_convex_position(config: PointConfig) -> bool:
     """
     if config.n < 3:
         raise InvalidConfigError("convex position requires n >= 3")
-    return _convex_position(config.points,
-                            _distinct_pairs(config.as_complex).diameter)
+    return _convex_position(config.points, _memo(config, distinct=True).diameter)
 
 
 def _convex_position(points: np.ndarray, diam: float) -> bool:
@@ -387,17 +458,20 @@ def hull_indices(points: np.ndarray, eps: float) -> list[int]:
     return chain(order)[:-1] + chain(order[::-1])[:-1]
 
 
-def upper_pairs(mask: np.ndarray, lo: int = 0) -> list[tuple[int, int]]:
-    """Pairs (i, j) with i < j where the (n, n) mask holds, in row-major order.
+def upper_pairs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """Pairs (i, j) with i < j where the (n, n) mask holds, in row-major order."""
+    i, j = _upper(mask)
+    return list(zip(i.tolist(), j.tolist()))
 
-    A mask of fewer rows holds the rows lo, lo + 1, ... of the (n, n) one."""
+
+def _upper(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and the columns i < j where a 2-d mask holds, in row-major
+    order."""
     # masks of pairs are sparse: cheaper than a triu copy, and the flat
     # indices cheaper than np.nonzero's two, in the same row-major order
     i, j = np.divmod(np.flatnonzero(mask), mask.shape[1])
-    if lo:
-        i += lo
     upper = i < j
-    return list(zip(i[upper].tolist(), j[upper].tolist()))
+    return i[upper], j[upper]
 
 
 def objective_gradient(config: PointConfig) -> np.ndarray:
@@ -407,7 +481,7 @@ def objective_gradient(config: PointConfig) -> np.ndarray:
     """
     if config.n < 2:
         raise InvalidConfigError("gradient requires n >= 2")
-    L = _distinct_pairs(config.as_complex, sums=True).sums
+    L = _memo(config, sums=True, distinct=True).sums
     with np.errstate(over="ignore", invalid="ignore"):
         g = -2.0 * np.conj(L)
     if not np.isfinite(g).all():

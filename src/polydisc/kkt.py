@@ -18,12 +18,18 @@ so a row has a few nonzeros.  Fits of more than one Cholesky block of pairs
 are ordered by direction, folded, which makes the matrix banded, and
 factored a block of columns at a time, each block updating only the later
 rows coupled to it.  Numerically dependent columns, or products
-past the float range, fall back to np.linalg.lstsq on the dense system.
-verify and recover_multipliers take one pass over the pairs
-(geometry._pair_rows) and hold no n x n array: each block of pair
-differences gives the distances, for the distinctness test and the active
-set, and the reciprocals of the stationarity sums.  _fit is the one entry
-to the nonnegative least squares.
+past the float range, fall back to np.linalg.lstsq on the dense system, and
+more than 2n - 3 pairs, always dependent, go there before the normal matrix
+is built.
+verify, active_set and recover_multipliers read the pair reductions that
+a PointConfig keeps (geometry._memo) and hold no n x n array: its
+distances, formed once, give the distinctness test and, at the default
+tolerance, the active set, filtered from the diameter-graph edge
+candidates; the stationarity sums come from at most one pass of
+differences and reciprocals.  Past the diameter _MEMO_DIAMETER, or at
+another tolerance, the active set takes a pass of its own, and at another
+tolerance so does verify's whole reduction.  _fit is the one entry to the
+nonnegative least squares.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, SingularConfigError
-from .geometry import PointConfig, _distinct_pairs, _pair_rows
+from .geometry import _TOL, PointConfig, _distinct_pairs, _memo, _pair_rows
 from .geometry import stationarity_lhs  # noqa: F401, re-exported
 
 Pair = tuple[int, int]
@@ -57,12 +63,32 @@ class KKTReport:
         return len(self.zero_degree_points) > 0
 
 
+# the largest diameter at which the active set at _TOL is filtered from the
+# memo's diameter-graph edge candidates.  Those are all pairs with distance
+# at least (1 - _TOL) D, and at D <= 2 (1 + 1e-10) that cut is below
+# 2 (1 - 8.9e-10), while a pair with squared distance q >= 4 (1 - _TOL) is
+# at distance 2 sqrt(1 - _TOL) > 2 (1 - 5.1e-10) or more: every active pair
+# is a candidate, by a margin far above the rounding of either test
+_MEMO_DIAMETER = 2.0 * (1.0 + 1e-10)
+
+
 def active_set(config: PointConfig, rel_tol: float = 1e-9) -> list[Pair]:
     """Pairs with squared distance at least 4 (1 - rel_tol).
 
     The configuration is expected to be normalized to diameter 2.
     """
+    if rel_tol == _TOL:
+        return _memo_active(config, _memo(config))
     return _pair_rows(config.as_complex, active=rel_tol).active
+
+
+def _memo_active(config: PointConfig, memo) -> list[Pair]:
+    """active_set at _TOL, from config's memo up to the diameter
+    _MEMO_DIAMETER, else from a pass of its own."""
+    if memo.diameter <= _MEMO_DIAMETER:
+        keep = np.square(memo.edge_dist) >= 4.0 * (1.0 - _TOL)
+        return list(map(tuple, memo.edge_pairs[keep].tolist()))
+    return _pair_rows(config.as_complex, active=_TOL).active
 
 
 def _pair_arrays(pairs):
@@ -244,9 +270,14 @@ def _nnls_project_resolve(w, a, b, g) -> np.ndarray:
     on the diagonal the sum of two equal ones.
     """
     n = len(g)
-    with np.errstate(over="ignore", invalid="ignore"):
-        N, Atg = _normal_matrix(w, a, b), _column_dots(w, a, b, g)
-        normal = np.isfinite(N).all() and np.isfinite(Atg).all()
+    # past 2n - 3 columns the first solve goes to lstsq, and so does every
+    # later one: the m x m normal matrix is not built
+    N = Atg = None
+    normal = len(w) <= 2 * n - 3
+    if normal:
+        with np.errstate(over="ignore", invalid="ignore"):
+            N, Atg = _normal_matrix(w, a, b), _column_dots(w, a, b, g)
+            normal = np.isfinite(N).all() and np.isfinite(Atg).all()
     dense = None
 
     def solve(support, N=None):
@@ -326,7 +357,7 @@ def recover_multipliers(config: PointConfig, active) -> tuple[dict, float]:
             raise InvalidConfigError(f"pair ({a}, {b}) is not two of the {config.n} points")
     if len(set(active)) < len(active):
         raise InvalidConfigError("a pair is listed twice")
-    L = _distinct_pairs(z, sums=True).sums
+    L = _memo(config, sums=True, distinct=True).sums
     lam, resid = _fit(z, *_pair_arrays(active), L)
     return dict(zip(active, lam.tolist())), float(np.abs(resid).max())
 
@@ -336,8 +367,14 @@ def verify(config: PointConfig, rel_tol: float = 1e-9) -> KKTReport:
     if config.n < 2:
         raise InvalidConfigError("need n >= 2")
     z = config.as_complex
-    found = _distinct_pairs(z, sums=True, active=rel_tol)
-    act = found.active
+    if rel_tol == _TOL:
+        # the log sum is taken along: a certificate reads log Delta-bar of
+        # the same object, whose distances are then formed once
+        found = _memo(config, logs=True, sums=True, distinct=True)
+        act = _memo_active(config, found)
+    else:
+        found = _distinct_pairs(z, sums=True, active=rel_tol)
+        act = found.active
     a, b = _pair_arrays(act)
     lam, resid = _fit(z, a, b, found.sums)
     comp = float(np.abs(lam * _constraint_gaps(z, a, b)).max(initial=0.0))
