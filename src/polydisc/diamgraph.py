@@ -104,18 +104,19 @@ def extract(config: PointConfig, rel_tol: float = 1e-9) -> DiameterGraph:
 
 def _diameter_graph(config: PointConfig, rel_tol: float, distinct: bool = False):
     """extract, and the reductions of the pairs that gave the edges: config's
-    memo at _TOL, else a pass of its own.  With ``distinct``, coincident
-    points are rejected first."""
+    memo at _TOL, else a pass of its own, as also for edges the memo does
+    not keep.  With ``distinct``, coincident points are rejected first."""
     if config.n < 2:
         raise InvalidConfigError("diameter graph requires n >= 2")
     if rel_tol == _TOL:
-        # the structure report, the caller with ``distinct``, takes the log
-        # sum along: a certificate reads log Delta-bar of the same object,
-        # whose distances are then formed once
-        found = _memo(config, logs=distinct, distinct=distinct)
+        found = _memo(config, distinct=distinct)
+        edges = found.edges
+        if edges is None:  # more than n, not kept on the memo
+            edges = _pair_rows(config.as_complex, edges=_TOL).edges
     else:
         found = (_distinct_pairs if distinct else _pair_rows)(config.as_complex, edges=rel_tol)
-    return DiameterGraph(n=config.n, edges=frozenset(found.edges)), found
+        edges = found.edges
+    return DiameterGraph(n=config.n, edges=frozenset(edges)), found
 
 
 def _blocks(graph: DiameterGraph) -> tuple[int, list[list[Edge]]]:

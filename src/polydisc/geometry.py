@@ -9,13 +9,13 @@ Delta / n^n for configurations rescaled to diameter 2.
 
 Each PointConfig keeps a memo of what its passes over the pairs reduce to
 at the default tolerance _TOL: the diameter and its first far pair, the
-smallest distance, and the diameter-graph edge candidates with their
+smallest distance, and up to n diameter-graph edge candidates with their
 distances, all from its first pass, plus the log sum and the stationarity
-sums once a caller asks for them.  So however many checks read one object,
-its distance blocks are formed once and its reciprocal blocks at most once.
-The memo holds O(n + edges) values and no n x n array; calls at another
-tolerance, and the kernels that take an array of points, make their own
-pass.
+sums once a caller asks for them.  So a certificate, log Delta-bar and
+then the KKT and structure checks of one object, forms its distance blocks
+once and its reciprocal blocks once.  The memo holds O(n) values and no
+n x n array; calls at another tolerance, and the kernels that take an
+array of points, make their own pass.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ class _Pairs:
 
 
 def _pair_rows(z, *, sums=False, nearest=False, logs=False, active=None, edges=None,
-               distances=True) -> _Pairs:
+               most=math.inf, distances=True) -> _Pairs:
     """One pass over the pairs of z, a block of rows at a time, forming each
     block of differences z_j - z_k and of distances |z_j - z_k| once.
 
@@ -162,7 +162,9 @@ def _pair_rows(z, *, sums=False, nearest=False, logs=False, active=None, edges=N
       4 (1 - active), in row-major order;
     - ``edges``: the pairs (i < j) with distance at least (1 - edges) times
       the diameter, in row-major order, as the rows of ``edge_pairs``, and
-      their distances as ``edge_dist``.
+      their distances as ``edge_dist``; both are None at n = 0, and once
+      more than ``most`` pairs lie past the cut of the largest distance so
+      far, where the pass stops collecting them.
 
     A pass without ``distances`` forms the blocks of differences and
     reciprocals only: it takes the sums, and diameter and far are None.
@@ -187,7 +189,8 @@ def _pair_rows(z, *, sums=False, nearest=False, logs=False, active=None, edges=N
     huge = sums and np.maximum(np.abs(z.real), np.abs(z.imag)).max(initial=0.0) > _HUGE
     zs = z * _PRESCALE if huge else z
     top, far, low, log_sum = -math.inf, None, math.inf, 0.0
-    pairs, found = [], [(np.empty(0, dtype=int),) * 2 + (np.empty(0),)]
+    pairs, kept = [], 0
+    found = None if edges is None else []
     # differences past the float range are inf; callers reject non-finite sums
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for rows in _row_blocks(n):
@@ -221,9 +224,15 @@ def _pair_rows(z, *, sums=False, nearest=False, logs=False, active=None, edges=N
                 i, j = divmod(at, n - first)
                 far = (min(lo + i, first + j), max(lo + i, first + j))
             square = d[:, lo - first:]  # [i, j] = |z_{lo + j} - z_{lo + i}|
-            if edges is not None:
+            if found is not None:
                 i, j = _upper(square >= (1.0 - edges) * top)
                 found.append((lo + i, lo + j, square[i, j]))
+                kept += len(i)
+                if kept > most:
+                    found = _past_cut(found, (1.0 - edges) * top)
+                    kept = len(found[0][0])
+                    if kept > most:
+                        found = None
             if active is not None:
                 i, j = _upper(np.square(square) >= 4.0 * (1.0 - active))
                 pairs += zip((lo + i).tolist(), (lo + j).tolist())
@@ -247,13 +256,22 @@ def _pair_rows(z, *, sums=False, nearest=False, logs=False, active=None, edges=N
         result.log_sum = log_sum if low > 0.0 else -math.inf
     if active is not None:
         result.active = pairs
-    if edges is not None:
-        i, j, dist = (np.concatenate(part) for part in zip(*found))
+    if found:
         # the cut of the final diameter: a block's own cut was at most this
-        keep = dist >= (1.0 - edges) * top
-        result.edge_pairs = np.stack((i[keep], j[keep]), axis=1)
-        result.edge_dist = dist[keep]
+        [(i, j, result.edge_dist)] = _past_cut(found, (1.0 - edges) * top)
+        result.edge_pairs = np.stack((i, j), axis=1)
     return result
+
+
+def _past_cut(found: list, cut: float) -> list:
+    """The edge candidates of a list of blocks (rows, columns, distances) at
+    distance cut or more, as one block.  The last block's were taken, or
+    last cut, at the largest distance so far, so a lone one is kept whole."""
+    if len(found) == 1:
+        return found
+    i, j, dist = (np.concatenate(part) for part in zip(*found))
+    keep = dist >= cut
+    return [(i[keep], j[keep], dist[keep])]
 
 
 def _off_diagonal(block: np.ndarray, lo: int) -> np.ndarray:
@@ -285,13 +303,18 @@ def _memo(config: PointConfig, *, logs: bool = False, sums: bool = False,
     The first pass takes the diameter, far, the smallest distance and the
     diameter-graph edges at _TOL with their distances, which need only
     comparisons, plus the log sum and the stationarity sums when asked for.
-    A later ask for the log sum takes another distance pass, and one for
-    the sums a pass of differences and reciprocals only.  With
-    ``distinct``, coincident points raise SingularConfigError.
+    The edges are kept only while the pass finds at most n candidates, the
+    most that distinct points have at their exact diameter; more, as among
+    coincident or nearly coincident points, leave them None, and a caller
+    that needs them takes a pass of its own.  A later ask for the log sum
+    takes another distance pass, and one for the sums a pass of differences
+    and reciprocals only.  With ``distinct``, coincident points raise
+    SingularConfigError.
     """
     memo = config.__dict__.get("_pairs")
     if memo is None:
-        memo = _pair_rows(config.as_complex, nearest=True, logs=logs, sums=sums, edges=_TOL)
+        memo = _pair_rows(config.as_complex, nearest=True, logs=logs, sums=sums, edges=_TOL,
+                          most=config.n)
         object.__setattr__(config, "_pairs", memo)
     logs, sums = logs and memo.log_sum is None, sums and memo.sums is None
     if logs or sums:

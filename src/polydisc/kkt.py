@@ -25,9 +25,10 @@ verify, active_set and recover_multipliers read the pair reductions that
 a PointConfig keeps (geometry._memo) and hold no n x n array: its
 distances, formed once, give the distinctness test and, at the default
 tolerance, the active set, filtered from the diameter-graph edge
-candidates; the stationarity sums come from at most one pass of
-differences and reciprocals.  Past the diameter _MEMO_DIAMETER, or at
-another tolerance, the active set takes a pass of its own, and at another
+candidates; the stationarity sums come with the first pass, or from at
+most one later pass of differences and reciprocals.  Past the diameter
+_MEMO_DIAMETER, when the memo keeps no edges (more than n), or at another
+tolerance, the active set takes a pass of its own, and at another
 tolerance so does verify's whole reduction.  _fit is the one entry to the
 nonnegative least squares.
 """
@@ -83,9 +84,10 @@ def active_set(config: PointConfig, rel_tol: float = 1e-9) -> list[Pair]:
 
 
 def _memo_active(config: PointConfig, memo) -> list[Pair]:
-    """active_set at _TOL, from config's memo up to the diameter
-    _MEMO_DIAMETER, else from a pass of its own."""
-    if memo.diameter <= _MEMO_DIAMETER:
+    """active_set at _TOL, from the edges on config's memo up to the
+    diameter _MEMO_DIAMETER, else, or when the memo keeps no edges, from a
+    pass of its own."""
+    if memo.diameter <= _MEMO_DIAMETER and memo.edge_pairs is not None:
         keep = np.square(memo.edge_dist) >= 4.0 * (1.0 - _TOL)
         return list(map(tuple, memo.edge_pairs[keep].tolist()))
     return _pair_rows(config.as_complex, active=_TOL).active
@@ -368,9 +370,7 @@ def verify(config: PointConfig, rel_tol: float = 1e-9) -> KKTReport:
         raise InvalidConfigError("need n >= 2")
     z = config.as_complex
     if rel_tol == _TOL:
-        # the log sum is taken along: a certificate reads log Delta-bar of
-        # the same object, whose distances are then formed once
-        found = _memo(config, logs=True, sums=True, distinct=True)
+        found = _memo(config, sums=True, distinct=True)
         act = _memo_active(config, found)
     else:
         found = _distinct_pairs(z, sums=True, active=rel_tol)

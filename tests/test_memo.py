@@ -4,8 +4,8 @@ past 2n - 3 pairs without its normal matrix."""
 
 import dataclasses
 import enum
-import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +29,12 @@ def _coincident():
     return PointConfig.from_complex(z)
 
 
+def _two_places(spread=0.0, k=20):
+    """k points at 0 and k at 2, each moved by up to about spread."""
+    z = np.repeat([0.0, 2.0], k) + spread * np.random.default_rng(3).normal(size=2 * k)
+    return PointConfig.from_complex(z.astype(complex))
+
+
 CONFIGS = {
     "regular301": lambda: PointConfig(
         regular_ngon(301).points[np.random.default_rng(0).permutation(301)]),
@@ -37,6 +43,10 @@ CONFIGS = {
     "wide": lambda: PointConfig(regular_ngon(40).points * 1.5),
     "coincident": _coincident,
     "huge": lambda: PointConfig(regular_ngon(11).points * 2.0 ** 1010),
+    # more edge candidates than points, which the memo does not keep
+    "one_place": lambda: PointConfig(np.full((40, 2), 0.75)),
+    "two_places": _two_places,
+    "two_clusters": lambda: _two_places(1e-13),
 }
 
 
@@ -131,6 +141,44 @@ def test_memo_holds_no_pair_matrix():
     assert not memo.sums.flags.writeable
 
 
+@pytest.mark.parametrize("case", ["one_place", "two_places", "two_clusters"])
+def test_memo_keeps_no_dense_edges(case):
+    # all pairs are edges at diameter 0, every pair between two places is
+    # one, and so is every pair between two clusters 1e-13 wide; the memo
+    # keeps none of them, and its pass holds no more than a block's worth
+    n = 3000
+    points = {"one_place": lambda: np.zeros((n, 2)),
+              "two_places": lambda: _two_places(0.0, n // 2).points,
+              "two_clusters": lambda: _two_places(1e-13, n // 2).points}[case]()
+    config = PointConfig(points)
+    tracemalloc.start()
+    try:
+        geometry.diameter(config)
+        geometry.log_delta_bar(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the candidates alone, two indices and a distance each, would take
+    # n^2 / 4 * 24 bytes, 51 MiB, or more; a block of 2^18 pairs takes 4 MiB
+    assert peak < 24 * 2 ** 20
+    memo = vars(config)["_pairs"]
+    assert memo.edge_pairs is None and memo.edge_dist is None
+    for value in vars(memo).values():
+        assert np.size(value) <= 2 * n
+
+
+def test_candidates_past_an_early_cut_do_not_count_against_the_cap(monkeypatch):
+    # the centre of a regular 31-gon comes first: its row alone gives 31
+    # candidates at the radius, which the diameter then cuts away, leaving
+    # the 31 edges of the polygon
+    monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", 32)
+    z = np.r_[0.0, regular_ngon(31).as_complex]
+    capped, full = geometry._pair_rows(z, edges=1e-9, most=32), geometry._pair_rows(z, edges=1e-9)
+    assert len(capped.edges) == 31
+    assert capped.edges == full.edges
+    assert capped.edge_dist.tobytes() == full.edge_dist.tobytes()
+
+
 @pytest.mark.parametrize("rows", [1, 2, None])
 @pytest.mark.parametrize("case", ["random", "regular", "coincident", "one_place"])
 def test_pass_without_logs_or_sums_matches_full_rows(monkeypatch, rows, case):
@@ -180,7 +228,15 @@ CHECKS = {
 }
 
 
-@pytest.mark.parametrize("order", list(itertools.permutations(sorted(CHECKS))))
+# the orders of the callers: a certificate (the bench, the optimizer's
+# polish) reads log Delta-bar first, the CLI's kkt and evaluate only verify
+# and the structure report; a lone verify forms distances and reciprocals
+# in one pass
+@pytest.mark.parametrize("order", [
+    ("log_delta_bar", "verify", "maximizer_structure_report"),
+    ("log_delta_bar", "maximizer_structure_report", "verify"),
+    ("verify", "maximizer_structure_report"),
+])
 @pytest.mark.parametrize("n", [301, 1001])
 def test_a_certificate_forms_distances_once_and_reciprocals_once(monkeypatch, order, n):
     config = PointConfig(regular_ngon(n).points[np.random.default_rng(n).permutation(n)])
