@@ -11,11 +11,12 @@ Each PointConfig keeps a memo of what its passes over the pairs reduce to
 at the default tolerance _TOL: the diameter and its first far pair, the
 smallest distance, and up to n diameter-graph edge candidates with their
 distances, all from its first pass, plus the log sum and the stationarity
-sums once a caller asks for them.  So a certificate, log Delta-bar and
-then the KKT and structure checks of one object, forms its distance blocks
-once and its reciprocal blocks once.  The memo holds O(n) values and no
-n x n array; calls at another tolerance, and the kernels that take an
-array of points, make their own pass.
+sums, which stationarity_lhs forms in a pass of their own, once a caller
+asks for them.  So a certificate, log Delta-bar and then the KKT and
+structure checks of one object, forms its distance blocks once and its
+reciprocal blocks once.  The memo holds O(n) values and no n x n array;
+calls at another tolerance, and the kernels that take an array of points,
+make their own pass.
 """
 
 from __future__ import annotations
@@ -125,11 +126,12 @@ def pairwise_distances(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Pairs:
-    """The reductions of one pass over the pairs: the diameter and the first
-    pair at it always, the others None where not asked for.  A PointConfig's
-    memo is one of these, its log sum and sums filled in when asked for."""
+    """The reductions of one distance pass over the pairs: the diameter and
+    the first pair at it always, the others None where not asked for.  A
+    PointConfig's memo is one of these, its log sum and its stationarity
+    sums (stationarity_lhs) filled in when asked for."""
 
-    diameter: float | None
+    diameter: float
     far: tuple[int, int] | None
     sums: np.ndarray | None = None
     nearest: float | None = None
@@ -144,16 +146,15 @@ class _Pairs:
         return None if self.edge_pairs is None else list(map(tuple, self.edge_pairs.tolist()))
 
 
-def _pair_rows(z, *, sums=False, nearest=False, logs=False, active=None, edges=None,
-               most=math.inf, distances=True) -> _Pairs:
+def _pair_rows(z, *, nearest=False, logs=False, active=None, edges=None,
+               most=math.inf) -> _Pairs:
     """One pass over the pairs of z, a block of rows at a time, forming each
-    block of differences z_j - z_k and of distances |z_j - z_k| once.
+    block of distances |z_j - z_k| once.
 
     Every pass takes the largest distance, ``diameter`` (-inf at n = 0), and
     ``far``, the first pair (i < j) in row-major order at it.  It also takes
     what is asked for:
 
-    - ``sums``: the stationarity sums L of stationarity_lhs;
     - ``nearest``: the smallest distance off the diagonal, 0 when two points
       coincide;
     - ``logs``: ``log_sum``, the sum of the logs of the distances off the
@@ -166,54 +167,33 @@ def _pair_rows(z, *, sums=False, nearest=False, logs=False, active=None, edges=N
       more than ``most`` pairs lie past the cut of the largest distance so
       far, where the pass stops collecting them.
 
-    A pass without ``distances`` forms the blocks of differences and
-    reciprocals only: it takes the sums, and diameter and far are None.
-
     No n x n array is held.  The distance of z_j and z_k is that of z_k and
     z_j to the last bit, so a block of rows lo, lo + 1, ... reads its pairs
-    (i < j) in its columns from lo on, which a pass without the logs and
-    the sums is all it forms.  The smallest distance comes from the copy of
-    a block's off-diagonal entries that the logs are taken in, or else from
-    the block with its diagonal set to inf for the while.  A block's edges
-    are its pairs past the cut of the largest distance so far, kept with
-    their distances and filtered against the final cut at the end.  The logs
-    of a block are summed in one call, so at n <= 512, one block, log_sum is
-    the sum over the whole matrix.  The sums of coordinates past 2^1000 come
-    from the points prescaled by 2^-600, where a difference that overflows
-    stays finite.
+    (i < j) in its columns from lo on, which a pass without the logs is all
+    it forms.  The smallest distance comes from the copy of a block's
+    off-diagonal entries that the logs are taken in, or else from the block
+    with its diagonal set to inf for the while.  A block's edges are its
+    pairs past the cut of the largest distance so far, kept with their
+    distances and filtered against the final cut at the end.  The logs of a
+    block are summed in one call, so at n <= 512, one block, log_sum is the
+    sum over the whole matrix.
     """
     z = np.asarray(z, dtype=complex)
     n = len(z)
     nearest = nearest or logs
-    L = np.empty(n, dtype=complex) if sums else None
-    huge = sums and np.maximum(np.abs(z.real), np.abs(z.imag)).max(initial=0.0) > _HUGE
-    zs = z * _PRESCALE if huge else z
     top, far, low, log_sum = -math.inf, None, math.inf, 0.0
     pairs, kept = [], 0
     found = None if edges is None else []
-    # differences past the float range are inf; callers reject non-finite sums
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    # differences past the float range are inf
+    with np.errstate(over="ignore", invalid="ignore"):
         for rows in _row_blocks(n):
             lo = rows.start
-            k = np.arange(rows.stop - lo)
-            # the logs and the sums read every pair twice, in full rows
-            first = 0 if logs or sums else lo
-            if distances:
-                diff = z[None, first:] - z[rows, None]  # [k, j - first] = z_j - z_k
-                d = np.abs(diff)
-            if sums:
-                if huge or not distances:
-                    diff = zs[None, :] - zs[rows, None]
-                diff[k, lo + k] = 1.0
-                np.divide(1.0, diff, out=diff)
-                diff[k, lo + k] = 0.0
-                L[rows] = diff.sum(axis=1)
-            # freed before the next temporary is made, as d is at the end of
+            # the logs read every pair twice, in full rows
+            first = 0 if logs else lo
+            # the differences are freed once d is formed, and d at the end of
             # the block, so that the allocator hands back the same pages, not
             # fresh ones that fault in on first write
-            del diff
-            if not distances:
-                continue
+            d = np.abs(z[None, first:] - z[rows, None])  # [k, j - first] = |z_j - z_k|
             # a new largest distance, and the first pair in row-major order
             # at it, lie in the columns from lo on: the distances left of
             # them are those of pairs of earlier rows, at most the largest
@@ -243,13 +223,12 @@ def _pair_rows(z, *, sums=False, nearest=False, logs=False, active=None, edges=N
                     log_sum += float(np.sum(np.log(off, out=off)))
                 del off
             elif nearest:
+                k = np.arange(rows.stop - lo)
                 square[k, k] = np.inf
                 low = min(low, float(square.min()))
                 square[k, k] = 0.0
             del d, square
-    result = _Pairs(top if distances else None, far)
-    if sums:
-        result.sums = L * _PRESCALE if huge else L
+    result = _Pairs(top, far)
     if nearest:
         result.nearest = low
     if logs:
@@ -302,31 +281,25 @@ def _memo(config: PointConfig, *, logs: bool = False, sums: bool = False,
 
     The first pass takes the diameter, far, the smallest distance and the
     diameter-graph edges at _TOL with their distances, which need only
-    comparisons, plus the log sum and the stationarity sums when asked for.
-    The edges are kept only while the pass finds at most n candidates, the
-    most that distinct points have at their exact diameter; more, as among
-    coincident or nearly coincident points, leave them None, and a caller
-    that needs them takes a pass of its own.  A later ask for the log sum
-    takes another distance pass, and one for the sums a pass of differences
-    and reciprocals only.  With ``distinct``, coincident points raise
-    SingularConfigError.
+    comparisons, plus the log sum when asked for.  The edges are kept only
+    while the pass finds at most n candidates, the most that distinct
+    points have at their exact diameter; more, as among coincident or
+    nearly coincident points, leave them None, and a caller that needs them
+    takes a pass of its own.  A later ask for the log sum takes another
+    distance pass.  With ``distinct``, coincident points raise
+    SingularConfigError before ``sums`` runs the stationarity_lhs pass.
     """
     memo = config.__dict__.get("_pairs")
     if memo is None:
-        memo = _pair_rows(config.as_complex, nearest=True, logs=logs, sums=sums, edges=_TOL,
-                          most=config.n)
+        memo = _pair_rows(config.as_complex, nearest=True, logs=logs, edges=_TOL, most=config.n)
         object.__setattr__(config, "_pairs", memo)
-    logs, sums = logs and memo.log_sum is None, sums and memo.sums is None
-    if logs or sums:
-        found = _pair_rows(config.as_complex, logs=logs, sums=sums, distances=logs)
-        if logs:
-            memo.log_sum = found.log_sum
-        if sums:
-            memo.sums = found.sums
-    if memo.sums is not None:
-        memo.sums.setflags(write=False)  # read by every later caller
+    elif logs and memo.log_sum is None:
+        memo.log_sum = _pair_rows(config.as_complex, logs=True).log_sum
     if distinct and memo.nearest == 0.0:
         raise SingularConfigError("coincident points")
+    if sums and memo.sums is None:
+        memo.sums = stationarity_lhs(config.as_complex)
+        memo.sums.setflags(write=False)  # read by every later caller
     return memo
 
 
@@ -516,7 +489,8 @@ def objective_gradient(config: PointConfig) -> np.ndarray:
 
 
 def stationarity_lhs(z: np.ndarray) -> np.ndarray:
-    """Per-point sums L_k = sum_{j != k} 1/(z_j - z_k).
+    """Per-point sums L_k = sum_{j != k} 1/(z_j - z_k), a block of rows at a
+    time, holding no n x n array.
 
     The gradient df/dx_k + i df/dy_k of f = sum log |z_k - z_j|^2 is
     -2 conj(L_k).  Unlike complex_gradient, the reciprocal needs no squared
@@ -526,7 +500,25 @@ def stationarity_lhs(z: np.ndarray) -> np.ndarray:
     L is homogeneous of degree -1 and the scaling is exact, so the sums are
     then scaled by 2^-600 too.
     """
-    return _pair_rows(z, sums=True).sums
+    z = np.asarray(z, dtype=complex)
+    huge = np.maximum(np.abs(z.real), np.abs(z.imag)).max(initial=0.0) > _HUGE
+    zs = z * _PRESCALE if huge else z
+    L = np.empty(len(z), dtype=complex)
+    # reciprocals past the float range, and those of coincident points, are
+    # not finite; callers reject non-finite sums
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for rows in _row_blocks(len(z)):
+            k = np.arange(rows.stop - rows.start)
+            diff = zs[None, :] - zs[rows, None]  # [k, j] = z_j - z_k
+            diff[k, rows.start + k] = 1.0
+            np.divide(1.0, diff, out=diff)
+            diff[k, rows.start + k] = 0.0
+            L[rows] = diff.sum(axis=1)
+            # freed before the next block is made, so that the allocator
+            # hands back the same pages, not fresh ones that fault in on
+            # first write
+            del diff
+    return L * _PRESCALE if huge else L
 
 
 def _pair_sq(z):

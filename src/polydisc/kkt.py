@@ -25,12 +25,12 @@ verify, active_set and recover_multipliers read the pair reductions that
 a PointConfig keeps (geometry._memo) and hold no n x n array: its
 distances, formed once, give the distinctness test and, at the default
 tolerance, the active set, filtered from the diameter-graph edge
-candidates; the stationarity sums come with the first pass, or from at
-most one later pass of differences and reciprocals.  Past the diameter
+candidates; the stationarity sums are one pass of differences and
+reciprocals (stationarity_lhs), also formed once.  Past the diameter
 _MEMO_DIAMETER, when the memo keeps no edges (more than n), or at another
-tolerance, the active set takes a pass of its own, and at another
-tolerance so does verify's whole reduction.  _fit is the one entry to the
-nonnegative least squares.
+tolerance, the active set takes a distance pass of its own, and at another
+tolerance verify takes that pass and the sums' pass outside the memo.
+_fit is the one entry to the nonnegative least squares.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, SingularConfigError
-from .geometry import _TOL, PointConfig, _distinct_pairs, _memo, _pair_rows
-from .geometry import stationarity_lhs  # noqa: F401, re-exported
+from .geometry import _TOL, PointConfig, _distinct_pairs, _memo, _pair_rows, stationarity_lhs
 
 Pair = tuple[int, int]
 
@@ -76,21 +75,16 @@ _MEMO_DIAMETER = 2.0 * (1.0 + 1e-10)
 def active_set(config: PointConfig, rel_tol: float = 1e-9) -> list[Pair]:
     """Pairs with squared distance at least 4 (1 - rel_tol).
 
-    The configuration is expected to be normalized to diameter 2.
+    The configuration is expected to be normalized to diameter 2.  At _TOL
+    they come from the edges on config's memo, where it keeps them, up to
+    the diameter _MEMO_DIAMETER; else they take a pass of their own.
     """
     if rel_tol == _TOL:
-        return _memo_active(config, _memo(config))
+        memo = _memo(config)
+        if memo.diameter <= _MEMO_DIAMETER and memo.edge_pairs is not None:
+            keep = np.square(memo.edge_dist) >= 4.0 * (1.0 - _TOL)
+            return list(map(tuple, memo.edge_pairs[keep].tolist()))
     return _pair_rows(config.as_complex, active=rel_tol).active
-
-
-def _memo_active(config: PointConfig, memo) -> list[Pair]:
-    """active_set at _TOL, from the edges on config's memo up to the
-    diameter _MEMO_DIAMETER, else, or when the memo keeps no edges, from a
-    pass of its own."""
-    if memo.diameter <= _MEMO_DIAMETER and memo.edge_pairs is not None:
-        keep = np.square(memo.edge_dist) >= 4.0 * (1.0 - _TOL)
-        return list(map(tuple, memo.edge_pairs[keep].tolist()))
-    return _pair_rows(config.as_complex, active=_TOL).active
 
 
 def _pair_arrays(pairs):
@@ -370,14 +364,17 @@ def verify(config: PointConfig, rel_tol: float = 1e-9) -> KKTReport:
         raise InvalidConfigError("need n >= 2")
     z = config.as_complex
     if rel_tol == _TOL:
-        found = _memo(config, sums=True, distinct=True)
-        act = _memo_active(config, found)
+        L = _memo(config, sums=True, distinct=True).sums
+        act = active_set(config)
     else:
-        found = _distinct_pairs(z, sums=True, active=rel_tol)
-        act = found.active
+        act = _distinct_pairs(z, active=rel_tol).active
+        L = stationarity_lhs(z)
     a, b = _pair_arrays(act)
-    lam, resid = _fit(z, a, b, found.sums)
-    comp = float(np.abs(lam * _constraint_gaps(z, a, b)).max(initial=0.0))
+    lam, resid = _fit(z, a, b, L)
+    # a zero multiplier contributes 0, even where its gap is past the float
+    # range, as at coordinates near 1e300, where the multipliers underflow
+    held = lam > 0.0
+    comp = float(np.abs(lam[held] * _constraint_gaps(z, a[held], b[held])).max(initial=0.0))
     degree = np.bincount(np.concatenate([a, b]), minlength=config.n)
     multipliers = dict(zip(act, lam.tolist()))
     top = float(np.abs(resid).max())

@@ -575,6 +575,8 @@ def sweep_graphs(n: int, opts: OptimizeOptions = OptimizeOptions()):
 def gauge_fix(config: PointConfig) -> PointConfig:
     """Canonical pose: centroid at the origin, the farthest point on the
     positive x-axis, and the second-farthest with nonnegative y."""
+    if config.n == 0:
+        return config
     z = config.as_complex
     z = z - z.mean()
     r = np.abs(z)
@@ -596,6 +598,8 @@ def congruent(a: PointConfig, b: PointConfig, tol: float = 1e-5) -> bool:
     """
     if a.n != b.n:
         return False
+    if a.n == 0:
+        return True
     za = a.as_complex - a.as_complex.mean()
     zb = b.as_complex - b.as_complex.mean()
     rb = np.abs(zb)

@@ -292,7 +292,25 @@ def test_overflowing_normal_equations_fall_back():
     assert residual <= ref_residual + max(1e-12, 1e-9 * ref_residual)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_zero_multipliers_add_no_complementarity(scale):
+    # the multipliers underflow to 0 while the gaps to the diameter 2 are
+    # inf: a zero multiplier contributes 0, not 0 * inf
+    config = PointConfig(regular_ngon(5).points * scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify(config)
+    assert len(report.active_set) == 10
+    assert set(report.multipliers.values()) == {0.0}
+    assert report.complementarity_violation == 0.0
+    assert 0.0 < report.stationarity_residual <= report.residual_norm2 < math.inf
+
+
 NONAGON_GRAPH = diamgraph.extract(regular_ngon(9))
+
+
+def _recover_multipliers(config):
+    return recover_multipliers(config, [(0, 4)])
 
 
 @pytest.mark.parametrize("check", [
@@ -301,7 +319,7 @@ NONAGON_GRAPH = diamgraph.extract(regular_ngon(9))
         geometry.diameter, geometry.normalize_to_diameter, geometry.evaluate,
         geometry.discriminant, geometry.normalized_discriminant, geometry.is_convex_position,
         geometry.objective_gradient, active_set, diamgraph.extract)),
-    pytest.param(lambda c: recover_multipliers(c, [(0, 4)]), id="recover_multipliers"),
+    pytest.param(_recover_multipliers, id="recover_multipliers"),
     pytest.param(lambda c: diamgraph.check_pairwise_intersection(c, NONAGON_GRAPH),
                  id="check_pairwise_intersection"),
     pytest.param(PointConfig.is_distinct, id="is_distinct"),
@@ -309,20 +327,29 @@ NONAGON_GRAPH = diamgraph.extract(regular_ngon(9))
     pytest.param(lambda c: constructions._max_distance(c.as_complex), id="_max_distance"),
 ])
 def test_one_distance_matrix_per_check(check):
-    # every pass over the pairs counts, the stationarity sums' as well as the
-    # distance matrix's: verify takes both from one
-    real, calls = geometry._pair_rows, []
+    # every pass over the pairs counts: each check forms its distances in
+    # one pass, and those that read the stationarity sums their reciprocals
+    # in one more
+    calls = {"distance": [], "reciprocal": []}
 
-    def counted(z, *args, **kwargs):
-        calls.append(len(z))
-        return real(z, *args, **kwargs)
+    def counter(kind, real):
+        def counted(z, *args, **kwargs):
+            calls[kind].append(len(z))
+            return real(z, *args, **kwargs)
+        return counted
 
-    with mock.patch.object(geometry, "_pair_rows", counted), \
-            mock.patch.object(kkt, "_pair_rows", counted), \
-            mock.patch.object(diamgraph, "_pair_rows", counted), \
-            mock.patch.object(constructions, "_pair_rows", counted):
+    distances = counter("distance", geometry._pair_rows)
+    reciprocals = counter("reciprocal", geometry.stationarity_lhs)
+    with mock.patch.object(geometry, "_pair_rows", distances), \
+            mock.patch.object(kkt, "_pair_rows", distances), \
+            mock.patch.object(diamgraph, "_pair_rows", distances), \
+            mock.patch.object(constructions, "_pair_rows", distances), \
+            mock.patch.object(geometry, "stationarity_lhs", reciprocals), \
+            mock.patch.object(kkt, "stationarity_lhs", reciprocals):
         check(regular_ngon(9))
-    assert calls == [9]
+    assert calls["distance"] == [9]
+    sums = check in (verify, geometry.objective_gradient, _recover_multipliers)
+    assert calls["reciprocal"] == ([9] if sums else [])
 
 
 @pytest.mark.parametrize("check", [log_delta_bar, verify, maximizer_structure_report])

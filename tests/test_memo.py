@@ -209,15 +209,19 @@ def _count_passes(monkeypatch):
     """Counts of the pair passes that form distances and of those that form
     reciprocals, through every module that runs one."""
     counts = {"distance": 0, "reciprocal": 0}
-    run = geometry._pair_rows
 
-    def counted(z, **asked):
-        counts["distance"] += asked.get("distances", True)
-        counts["reciprocal"] += asked.get("sums", False)
-        return run(z, **asked)
+    def counter(kind, run):
+        def counted(*args, **kwargs):
+            counts[kind] += 1
+            return run(*args, **kwargs)
+        return counted
 
+    distances = counter("distance", geometry._pair_rows)
     for module in (geometry, kkt, diamgraph):
-        monkeypatch.setattr(module, "_pair_rows", counted)
+        monkeypatch.setattr(module, "_pair_rows", distances)
+    reciprocals = counter("reciprocal", geometry.stationarity_lhs)
+    for module in (geometry, kkt):
+        monkeypatch.setattr(module, "stationarity_lhs", reciprocals)
     return counts
 
 
@@ -230,8 +234,8 @@ CHECKS = {
 
 # the orders of the callers: a certificate (the bench, the optimizer's
 # polish) reads log Delta-bar first, the CLI's kkt and evaluate only verify
-# and the structure report; a lone verify forms distances and reciprocals
-# in one pass
+# and the structure report; a lone verify forms the distances in one pass
+# and the reciprocals in another
 @pytest.mark.parametrize("order", [
     ("log_delta_bar", "verify", "maximizer_structure_report"),
     ("log_delta_bar", "maximizer_structure_report", "verify"),

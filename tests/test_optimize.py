@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -640,3 +641,11 @@ class TestGauge:
 
     def test_not_congruent(self):
         assert not congruent(kite4(), regular_ngon(4), tol=1e-5)
+
+    def test_empty_configuration(self):
+        empty = PointConfig(np.empty((0, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gauge_fix(empty).n == 0
+            assert congruent(empty, empty)
+        assert not congruent(empty, kite4())

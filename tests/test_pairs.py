@@ -117,19 +117,20 @@ def upper_reference(mask):
 @pytest.mark.parametrize("n", [2, 3, 17, 512, 513, 1001, 1500])
 def test_fused_pass_matches_distances_and_sums(monkeypatch, n, scale, close, rows):
     # blocks of one row, of two rows, and the default blocks (several at
-    # n = 1500, the last one short): every reduction from one pass
+    # n = 1500, the last one short): every distance reduction from one
+    # pass, and the sums from the pass of stationarity_lhs
     if rows is not None:
         monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", rows * n)
     z = _fused_case(n, scale, close)
     # pairs at squared distance 36 or more: a few at scale 1 and none at
     # 1e-150; at 2^1010 every square overflows, so that every pair is active
     active = -8.0 if scale < 2.0 ** 1000 else None
-    found = geometry._pair_rows(z, sums=True, nearest=True, logs=True, active=active,
-                                edges=1e-3)
+    found = geometry._pair_rows(z, nearest=True, logs=True, active=active, edges=1e-3)
+    L = geometry.stationarity_lhs(z)
     ref_d, ref_L = loop_distances_and_sums(z)
     assert pairwise_distances(z).tobytes() == ref_d.tobytes()
-    assert found.sums.tobytes() == geometry.stationarity_lhs(z).tobytes() == ref_L.tobytes()
-    assert np.isfinite(found.sums).all()
+    assert L.tobytes() == ref_L.tobytes()
+    assert np.isfinite(L).all()
     off = ~np.eye(n, dtype=bool)
     assert found.diameter == ref_d.max()
     assert found.far == tuple(sorted(divmod(int(ref_d.argmax()), n)))
@@ -147,8 +148,8 @@ def test_fused_pass_prescales_only_the_sums():
     # the difference of the first two points is past the float range, so its
     # distance is inf, while the prescaled sums stay finite
     z = np.array([1.5 * 2.0 ** 1023, -1.5 * 2.0 ** 1023, 1j])
-    found = geometry._pair_rows(z, sums=True)
-    d, L = pairwise_distances(z), found.sums
+    found = geometry._pair_rows(z)
+    d, L = pairwise_distances(z), geometry.stationarity_lhs(z)
     ref_d, ref_L = loop_distances_and_sums(z)
     assert d[0, 1] == d[1, 0] == np.inf
     assert found.diameter == np.inf and found.far == (0, 1)
