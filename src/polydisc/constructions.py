@@ -144,34 +144,13 @@ def dihedral_params_for_angle(alpha: float) -> DihedralParams:
     return DihedralParams(m=2, z=np.array([z1, z2]))
 
 
-def _log_dbar_12(alpha: float) -> float:
-    return dihedral_delta(2, dihedral_params_for_angle(alpha)) - 12 * math.log(12.0)
-
-
 def dodecagon12() -> tuple[float, PointConfig]:
     """Best 12-point dihedral configuration.
 
-    The free angle is located by golden-section bracketing of the
-    one-parameter slice and polished to a stationary point of log Delta
-    (derivative below 1e-12) in high-precision arithmetic.
+    The free angle is the stationary point of log Delta on the
+    one-parameter slice that Newton's method (mpmath.findroot) reaches from
+    pi / 12, to a derivative below 1e-12, in high-precision arithmetic.
     """
-    lo, hi = 1e-3, math.pi / 6
-    gr = (math.sqrt(5.0) - 1) / 2
-    a, b = lo, hi
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
-    fc, fd = _log_dbar_12(c), _log_dbar_12(d)
-    for _ in range(60):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = _log_dbar_12(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = _log_dbar_12(d)
-    alpha0 = 0.5 * (a + b)
-
     import mpmath as mp
 
     with mp.workdps(40):
@@ -182,7 +161,7 @@ def dodecagon12() -> tuple[float, PointConfig]:
             return 6 * _chain_log_sum([z1 - 2, z1, z1 - 2 * mp.e ** (1j * al)], mp.log)
 
         deriv = lambda al: mp.diff(logdelta, al)
-        root = mp.findroot(deriv, mp.mpf(alpha0))
+        root = mp.findroot(deriv, mp.pi / 12)
         if abs(deriv(root)) > 1e-12:
             raise InfeasibleError("stationarity polish did not converge")
         alpha = float(root)

@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidConfigError
-from .geometry import (_TOL, PointConfig, _convex_position, _distinct_pairs, _memo,
-                       _pair_rows, _row_blocks, _unit_scaled)
+from .geometry import (PointConfig, _convex_position, _memo, _pair_list, _row_blocks,
+                       _selected, _unit_scaled)
 
 Edge = tuple[int, int]
 
@@ -98,25 +98,17 @@ def parse_graph_text(text: str) -> DiameterGraph:
 
 
 def extract(config: PointConfig, rel_tol: float = 1e-9) -> DiameterGraph:
-    """Edges = pairs within relative rel_tol of the largest pairwise distance."""
+    """Edges = pairs within relative rel_tol, in [0, 1), of the largest distance."""
     return _diameter_graph(config, rel_tol)[0]
 
 
 def _diameter_graph(config: PointConfig, rel_tol: float, distinct: bool = False):
-    """extract, and the reductions of the pairs that gave the edges: config's
-    memo at _TOL, else a pass of its own, as also for edges the memo does
-    not keep.  With ``distinct``, coincident points are rejected first."""
+    """extract, and config's diameter.  With ``distinct``, coincident points
+    are rejected first."""
     if config.n < 2:
         raise InvalidConfigError("diameter graph requires n >= 2")
-    if rel_tol == _TOL:
-        found = _memo(config, distinct=distinct)
-        edges = found.edges
-        if edges is None:  # more than n, not kept on the memo
-            edges = _pair_rows(config.as_complex, edges=_TOL).edges
-    else:
-        found = (_distinct_pairs if distinct else _pair_rows)(config.as_complex, edges=rel_tol)
-        edges = found.edges
-    return DiameterGraph(n=config.n, edges=frozenset(edges)), found
+    edges, diam = _selected(config, rel_tol, active=False, distinct=distinct)
+    return DiameterGraph(n=config.n, edges=frozenset(_pair_list(edges))), diam
 
 
 def _blocks(graph: DiameterGraph) -> tuple[int, list[list[Edge]]]:
@@ -277,8 +269,10 @@ def check_pairwise_intersection(config: PointConfig, graph: DiameterGraph) -> bo
     """True iff every two edge segments meet in exactly one point.
 
     Shared endpoints count as one intersection; collinear positive-length
-    overlap and disjointness both fail.
+    overlap and disjointness both fail.  The graph has config.n vertices.
     """
+    if graph.n != config.n:
+        raise InvalidConfigError("graph order does not match n")
     diam = _memo(config, distinct=True).diameter
     return _pairwise_intersecting(config.points, diam, graph)
 
@@ -458,7 +452,7 @@ class StructureReport:
 
 def maximizer_structure_report(config: PointConfig, rel_tol: float = 1e-9) -> StructureReport:
     """Evaluate every structural predicate a maximizer must satisfy."""
-    graph, found = _diameter_graph(config, rel_tol, distinct=True)
+    graph, diam = _diameter_graph(config, rel_tol, distinct=True)
     components, blocks = _blocks(graph)
     gclass = _classify(graph, components, blocks)
     return StructureReport(
@@ -466,8 +460,8 @@ def maximizer_structure_report(config: PointConfig, rel_tol: float = 1e-9) -> St
         min_degree_ok=min(graph.degrees()) >= 1 if graph.n else True,
         connected=components <= 1,
         no_even_cycle=not _blocks_have_even_cycle(blocks),
-        pairwise_intersecting=_pairwise_intersecting(config.points, found.diameter, graph),
-        convex_position=(_convex_position(config.points, found.diameter)
+        pairwise_intersecting=_pairwise_intersecting(config.points, diam, graph),
+        convex_position=(_convex_position(config.points, diam)
                          if config.n >= 3 else True),
         class_ok=gclass.kind in (GraphKind.CATERPILLAR, GraphKind.ODD_CYCLE_WITH_PENDANTS),
         graph=graph,

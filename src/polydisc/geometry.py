@@ -7,16 +7,9 @@ The central quantity is the discriminant-style product
 evaluated in log space throughout, together with its normalization
 Delta / n^n for configurations rescaled to diameter 2.
 
-Each PointConfig keeps a memo of what its passes over the pairs reduce to
-at the default tolerance _TOL: the diameter and its first far pair, the
-smallest distance, and up to n diameter-graph edge candidates with their
-distances, all from its first pass, plus the log sum and the stationarity
-sums, which stationarity_lhs forms in a pass of their own, once a caller
-asks for them.  So a certificate, log Delta-bar and then the KKT and
-structure checks of one object, forms its distance blocks once and its
-reciprocal blocks once.  The memo holds O(n) values and no n x n array;
-calls at another tolerance, and the kernels that take an array of points,
-make their own pass.
+Each PointConfig keeps its distance pass at the default tolerance _TOL
+(_memo) and, apart from it, its stationarity sums (_sums), O(n) values each.
+_selected alone picks the pass for a selection of pairs by distance.
 """
 
 from __future__ import annotations
@@ -39,6 +32,14 @@ _PRESCALE = 2.0 ** -600
 # keeps its diameter-graph edge candidates
 _TOL = 1e-9
 
+# the largest diameter at which the active set at _TOL is filtered from the
+# memo's diameter-graph edge candidates.  Those are all pairs with distance
+# at least (1 - _TOL) D, and at D <= 2 (1 + 1e-10) that cut is below
+# 2 (1 - 8.9e-10), while a pair with squared distance q >= 4 (1 - _TOL) is
+# at distance 2 sqrt(1 - _TOL) > 2 (1 - 5.1e-10) or more: every active pair
+# is a candidate, by a margin far above the rounding of either test
+_MEMO_DIAMETER = 2.0 * (1.0 + 1e-10)
+
 # entries of one temporary block of a pair array (4 MB of complex).
 # Pair kernels at large n run a block of rows at a time, so none holds more
 # than the arrays it returns plus one block: their peak memory then does not
@@ -56,7 +57,7 @@ class PointConfig:
     """An ordered list of n planar points, stored as an (n, 2) float array.
 
     Once a check reads its pairs, the object also keeps their reductions
-    (see _memo), outside its dataclass fields.
+    (see _memo and _sums), outside its dataclass fields.
     """
 
     points: np.ndarray
@@ -128,22 +129,30 @@ def pairwise_distances(z: np.ndarray) -> np.ndarray:
 class _Pairs:
     """The reductions of one distance pass over the pairs: the diameter and
     the first pair at it always, the others None where not asked for.  A
-    PointConfig's memo is one of these, its log sum and its stationarity
-    sums (stationarity_lhs) filled in when asked for."""
+    PointConfig's memo is one of these (_memo)."""
 
     diameter: float
     far: tuple[int, int] | None
-    sums: np.ndarray | None = None
     nearest: float | None = None
     log_sum: float | None = None
-    active: list | None = None
+    active_pairs: np.ndarray | None = None
     edge_pairs: np.ndarray | None = None
     edge_dist: np.ndarray | None = None
 
     @property
+    def active(self) -> list | None:
+        """The rows of active_pairs as a list of pairs."""
+        return _pair_list(self.active_pairs)
+
+    @property
     def edges(self) -> list | None:
         """The rows of edge_pairs as a list of pairs."""
-        return None if self.edge_pairs is None else list(map(tuple, self.edge_pairs.tolist()))
+        return _pair_list(self.edge_pairs)
+
+
+def _pair_list(pairs: np.ndarray | None) -> list | None:
+    """The rows of an (m, 2) index array as a list of pairs."""
+    return None if pairs is None else list(map(tuple, pairs.tolist()))
 
 
 def _pair_rows(z, *, nearest=False, logs=False, active=None, edges=None,
@@ -160,7 +169,7 @@ def _pair_rows(z, *, nearest=False, logs=False, active=None, edges=None,
     - ``logs``: ``log_sum``, the sum of the logs of the distances off the
       diagonal, -inf when one is 0, and ``nearest``;
     - ``active``: the pairs (i < j) with squared distance at least
-      4 (1 - active), in row-major order;
+      4 (1 - active), in row-major order, as the rows of ``active_pairs``;
     - ``edges``: the pairs (i < j) with distance at least (1 - edges) times
       the diameter, in row-major order, as the rows of ``edge_pairs``, and
       their distances as ``edge_dist``; both are None at n = 0, and once
@@ -182,8 +191,8 @@ def _pair_rows(z, *, nearest=False, logs=False, active=None, edges=None,
     n = len(z)
     nearest = nearest or logs
     top, far, low, log_sum = -math.inf, None, math.inf, 0.0
-    pairs, kept = [], 0
-    found = None if edges is None else []
+    picked = None if active is None else [np.empty((0, 2), dtype=int)]
+    found, kept = None if edges is None else [], 0
     # differences past the float range are inf
     with np.errstate(over="ignore", invalid="ignore"):
         for rows in _row_blocks(n):
@@ -213,9 +222,9 @@ def _pair_rows(z, *, nearest=False, logs=False, active=None, edges=None,
                     kept = len(found[0][0])
                     if kept > most:
                         found = None
-            if active is not None:
+            if picked is not None:
                 i, j = _upper(np.square(square) >= 4.0 * (1.0 - active))
-                pairs += zip((lo + i).tolist(), (lo + j).tolist())
+                picked.append(np.stack((lo + i, lo + j), axis=1))
             if logs:
                 off = _off_diagonal(d, lo)
                 low = min(low, float(off.min()))
@@ -233,8 +242,8 @@ def _pair_rows(z, *, nearest=False, logs=False, active=None, edges=None,
         result.nearest = low
     if logs:
         result.log_sum = log_sum if low > 0.0 else -math.inf
-    if active is not None:
-        result.active = pairs
+    if picked is not None:
+        result.active_pairs = np.concatenate(picked)
     if found:
         # the cut of the final diameter: a block's own cut was at most this
         [(i, j, result.edge_dist)] = _past_cut(found, (1.0 - edges) * top)
@@ -265,17 +274,7 @@ def _off_diagonal(block: np.ndarray, lo: int) -> np.ndarray:
                            flat[end:]), axis=None)
 
 
-def _distinct_pairs(z, **reductions) -> _Pairs:
-    """_pair_rows of points z that must be distinct; it also takes the
-    smallest distance."""
-    found = _pair_rows(z, nearest=True, **reductions)
-    if found.nearest == 0.0:
-        raise SingularConfigError("coincident points")
-    return found
-
-
-def _memo(config: PointConfig, *, logs: bool = False, sums: bool = False,
-          distinct: bool = False) -> _Pairs:
+def _memo(config: PointConfig, *, logs: bool = False, distinct: bool = False) -> _Pairs:
     """The reductions of the pairs of config at the tolerance _TOL, formed
     at most once per object and kept on it.
 
@@ -284,10 +283,8 @@ def _memo(config: PointConfig, *, logs: bool = False, sums: bool = False,
     comparisons, plus the log sum when asked for.  The edges are kept only
     while the pass finds at most n candidates, the most that distinct
     points have at their exact diameter; more, as among coincident or
-    nearly coincident points, leave them None, and a caller that needs them
-    takes a pass of its own.  A later ask for the log sum takes another
-    distance pass.  With ``distinct``, coincident points raise
-    SingularConfigError before ``sums`` runs the stationarity_lhs pass.
+    nearly coincident points, leave them None.  A later ask for the log sum
+    takes another distance pass.  ``distinct`` rejects coincident points.
     """
     memo = config.__dict__.get("_pairs")
     if memo is None:
@@ -297,10 +294,45 @@ def _memo(config: PointConfig, *, logs: bool = False, sums: bool = False,
         memo.log_sum = _pair_rows(config.as_complex, logs=True).log_sum
     if distinct and memo.nearest == 0.0:
         raise SingularConfigError("coincident points")
-    if sums and memo.sums is None:
-        memo.sums = stationarity_lhs(config.as_complex)
-        memo.sums.setflags(write=False)  # read by every later caller
     return memo
+
+
+def _sums(config: PointConfig) -> np.ndarray:
+    """stationarity_lhs of config's points, formed at most once per object
+    and kept on it apart from the memo, which it does not fill."""
+    sums = config.__dict__.get("_sums")
+    if sums is None:
+        sums = stationarity_lhs(config.as_complex)
+        sums.setflags(write=False)  # read by every later caller
+        object.__setattr__(config, "_sums", sums)
+    return sums
+
+
+def _selected(config: PointConfig, rel_tol: float, *, active: bool,
+              distinct: bool = False) -> tuple[np.ndarray, float]:
+    """The KKT active set with ``active``, the pairs with squared distance at
+    least 4 (1 - rel_tol), else the diameter-graph edges, those with distance
+    at least (1 - rel_tol) times the diameter: the rows (i < j) of an index
+    array, in row-major order, and config's diameter.
+
+    At _TOL they are filtered from the memo's edges where it keeps them, the
+    active pairs only up to the diameter _MEMO_DIAMETER; else they take a
+    pass of their own.  With ``distinct``, coincident points raise
+    SingularConfigError; a rel_tol not in [0, 1) raises InvalidConfigError.
+    """
+    if not 0.0 <= rel_tol < 1.0:
+        raise InvalidConfigError(f"rel_tol {rel_tol} is not in [0, 1)")
+    if rel_tol == _TOL:
+        memo = _memo(config, distinct=distinct)
+        if memo.edge_pairs is not None and not active:
+            return memo.edge_pairs, memo.diameter
+        if memo.edge_pairs is not None and memo.diameter <= _MEMO_DIAMETER:
+            return memo.edge_pairs[np.square(memo.edge_dist) >= 4.0 * (1.0 - _TOL)], memo.diameter
+    found = _pair_rows(config.as_complex, nearest=distinct,
+                       **{"active" if active else "edges": rel_tol})
+    if distinct and found.nearest == 0.0:
+        raise SingularConfigError("coincident points")
+    return (found.active_pairs if active else found.edge_pairs), found.diameter
 
 
 def discriminant(config: PointConfig) -> tuple[float, float]:
@@ -477,9 +509,9 @@ def objective_gradient(config: PointConfig) -> np.ndarray:
     """
     if config.n < 2:
         raise InvalidConfigError("gradient requires n >= 2")
-    L = _memo(config, sums=True, distinct=True).sums
+    _memo(config, distinct=True)
     with np.errstate(over="ignore", invalid="ignore"):
-        g = -2.0 * np.conj(L)
+        g = -2.0 * np.conj(_sums(config))
     if not np.isfinite(g).all():
         raise SingularConfigError("the gradient is past the float range")
     out = np.empty(2 * config.n)

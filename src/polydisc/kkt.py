@@ -21,15 +21,9 @@ rows coupled to it.  Numerically dependent columns, or products
 past the float range, fall back to np.linalg.lstsq on the dense system, and
 more than 2n - 3 pairs, always dependent, go there before the normal matrix
 is built.
-verify, active_set and recover_multipliers read the pair reductions that
-a PointConfig keeps (geometry._memo) and hold no n x n array: its
-distances, formed once, give the distinctness test and, at the default
-tolerance, the active set, filtered from the diameter-graph edge
-candidates; the stationarity sums are one pass of differences and
-reciprocals (stationarity_lhs), also formed once.  Past the diameter
-_MEMO_DIAMETER, when the memo keeps no edges (more than n), or at another
-tolerance, the active set takes a distance pass of its own, and at another
-tolerance verify takes that pass and the sums' pass outside the memo.
+verify, active_set and recover_multipliers hold no n x n array: the
+active set is a selection by distance (geometry._selected), and the
+stationarity sums are the one pass kept on the object (geometry._sums).
 _fit is the one entry to the nonnegative least squares.
 """
 
@@ -41,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, SingularConfigError
-from .geometry import _TOL, PointConfig, _distinct_pairs, _memo, _pair_rows, stationarity_lhs
+from .geometry import PointConfig, _memo, _pair_list, _selected, _sums
 
 Pair = tuple[int, int]
 
@@ -63,28 +57,12 @@ class KKTReport:
         return len(self.zero_degree_points) > 0
 
 
-# the largest diameter at which the active set at _TOL is filtered from the
-# memo's diameter-graph edge candidates.  Those are all pairs with distance
-# at least (1 - _TOL) D, and at D <= 2 (1 + 1e-10) that cut is below
-# 2 (1 - 8.9e-10), while a pair with squared distance q >= 4 (1 - _TOL) is
-# at distance 2 sqrt(1 - _TOL) > 2 (1 - 5.1e-10) or more: every active pair
-# is a candidate, by a margin far above the rounding of either test
-_MEMO_DIAMETER = 2.0 * (1.0 + 1e-10)
-
-
 def active_set(config: PointConfig, rel_tol: float = 1e-9) -> list[Pair]:
-    """Pairs with squared distance at least 4 (1 - rel_tol).
+    """Pairs with squared distance at least 4 (1 - rel_tol), 0 <= rel_tol < 1.
 
-    The configuration is expected to be normalized to diameter 2.  At _TOL
-    they come from the edges on config's memo, where it keeps them, up to
-    the diameter _MEMO_DIAMETER; else they take a pass of their own.
+    The configuration is expected to be normalized to diameter 2.
     """
-    if rel_tol == _TOL:
-        memo = _memo(config)
-        if memo.diameter <= _MEMO_DIAMETER and memo.edge_pairs is not None:
-            keep = np.square(memo.edge_dist) >= 4.0 * (1.0 - _TOL)
-            return list(map(tuple, memo.edge_pairs[keep].tolist()))
-    return _pair_rows(config.as_complex, active=rel_tol).active
+    return _pair_list(_selected(config, rel_tol, active=True)[0])
 
 
 def _pair_arrays(pairs):
@@ -353,8 +331,8 @@ def recover_multipliers(config: PointConfig, active) -> tuple[dict, float]:
             raise InvalidConfigError(f"pair ({a}, {b}) is not two of the {config.n} points")
     if len(set(active)) < len(active):
         raise InvalidConfigError("a pair is listed twice")
-    L = _memo(config, sums=True, distinct=True).sums
-    lam, resid = _fit(z, *_pair_arrays(active), L)
+    _memo(config, distinct=True)
+    lam, resid = _fit(z, *_pair_arrays(active), _sums(config))
     return dict(zip(active, lam.tolist())), float(np.abs(resid).max())
 
 
@@ -363,20 +341,15 @@ def verify(config: PointConfig, rel_tol: float = 1e-9) -> KKTReport:
     if config.n < 2:
         raise InvalidConfigError("need n >= 2")
     z = config.as_complex
-    if rel_tol == _TOL:
-        L = _memo(config, sums=True, distinct=True).sums
-        act = active_set(config)
-    else:
-        act = _distinct_pairs(z, active=rel_tol).active
-        L = stationarity_lhs(z)
-    a, b = _pair_arrays(act)
-    lam, resid = _fit(z, a, b, L)
+    pairs = _selected(config, rel_tol, active=True, distinct=True)[0]
+    a, b = pairs.T
+    lam, resid = _fit(z, a, b, _sums(config))
     # a zero multiplier contributes 0, even where its gap is past the float
     # range, as at coordinates near 1e300, where the multipliers underflow
     held = lam > 0.0
     comp = float(np.abs(lam[held] * _constraint_gaps(z, a[held], b[held])).max(initial=0.0))
     degree = np.bincount(np.concatenate([a, b]), minlength=config.n)
-    multipliers = dict(zip(act, lam.tolist()))
+    multipliers = dict(zip(_pair_list(pairs), lam.tolist()))
     top = float(np.abs(resid).max())
     with np.errstate(over="ignore"):
         norm2 = float(np.linalg.norm(resid))
@@ -386,7 +359,7 @@ def verify(config: PointConfig, rel_tol: float = 1e-9) -> KKTReport:
             norm2 = float(top * np.linalg.norm(resid / top))
     return KKTReport(
         n=config.n,
-        active_set=tuple(sorted(act)),
+        active_set=tuple(sorted(multipliers)),
         multipliers=multipliers,
         stationarity_residual=top,
         residual_norm2=norm2,

@@ -8,6 +8,7 @@ import pytest
 
 from polydisc import asymptotics
 from polydisc.cli import _UsageError, main, read_config, write_config, write_svg
+from polydisc.constructions import kite4
 from polydisc.geometry import PointConfig
 
 
@@ -315,8 +316,8 @@ class TestAsym:
 
 
 class TestErrorPaths:
-    # D is a scratch directory, X a directory that does not exist and one.json
-    # a file holding one point
+    # D is a scratch directory, X a directory that does not exist, one.json
+    # a file holding one point and kite.json one holding kite4
     @pytest.mark.parametrize("argv,code", [
         ("construct --family regular --out {D}/k.json", 2),
         ("construct --family regular --n 1 --out {D}/k.json", 2),
@@ -331,6 +332,8 @@ class TestErrorPaths:
         ("optimize --n 5 --graph 4;1-2 --out {D}/o.json", 2),
         ("evaluate {D}/one.json", 2),
         ("kkt {D}/one.json", 2),
+        ("evaluate {D}/kite.json --rel-tol nan", 2),
+        ("kkt {D}/kite.json --rel-tol nan", 2),
         ("asym nope", 2),
         ("asym", 2),
         ("construct --family kite4 --out {X}/k.json", 3),
@@ -341,9 +344,10 @@ class TestErrorPaths:
     ])
     def test_exit_code_and_one_error_line(self, tmp_path, capsys, argv, code):
         write_config(str(tmp_path / "one.json"), PointConfig([[0.0, 0.0]]), {})
+        write_config(str(tmp_path / "kite.json"), kite4(), {})
         assert run(*argv.format(D=tmp_path, X=tmp_path / "missing").split()) == code
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err + captured.out
         if code == 2:
-            assert sorted(p.name for p in tmp_path.iterdir()) == ["one.json"]
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["kite.json", "one.json"]

@@ -63,6 +63,15 @@ class TestExtract:
         with pytest.raises(InvalidConfigError):
             extract(PointConfig([[0, 0]]))
 
+    @pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), -1e-3, 1.0])
+    def test_rel_tol_outside_unit_interval_rejected(self, rel_tol):
+        for check in (extract, maximizer_structure_report):
+            with pytest.raises(InvalidConfigError, match="rel_tol"):
+                check(kite4(), rel_tol)
+
+    def test_zero_rel_tol_keeps_the_exact_diameters(self):
+        assert extract(SQUARE, 0.0).edges == frozenset({(0, 2), (1, 3)})
+
     def test_equals_graph_with_same_edges(self):
         g = extract(kite4(), 1e-3)
         same = DiameterGraph(4, g.edges)
@@ -157,6 +166,13 @@ class TestPairwiseIntersection:
         late = DiameterGraph(n=1001, edges=g.edges | {(999, 1000)})
         assert max(late.edges) == (999, 1000)
         assert not check_pairwise_intersection(cfg, late)
+
+    @pytest.mark.parametrize("order", [3, 6])
+    def test_graph_of_another_order_rejected(self, order):
+        # a graph on 6 vertices once indexed past the points, and one on 3
+        # was checked against the first 3 of them
+        with pytest.raises(InvalidConfigError, match="graph order"):
+            check_pairwise_intersection(kite4(), path_graph(order))
 
     def test_coincident_points_raise(self):
         cfg = PointConfig([[0, 0], [1, 0], [0, 1], [1, 0]])

@@ -19,8 +19,7 @@ from polydisc import (
 )
 from polydisc import constructions, diamgraph, geometry, kkt
 from polydisc.constructions import arc_polygon, dodecagon12, hexagon6, kite4, triwave
-from polydisc.geometry import normalize_to_diameter
-from polydisc.kkt import stationarity_lhs
+from polydisc.geometry import normalize_to_diameter, stationarity_lhs
 
 SQRT7 = math.sqrt(7.0)
 
@@ -41,6 +40,12 @@ class TestActiveSet:
         n = 12
         tw = triwave(n)
         assert set(active_set(tw.config)) == {(k, k + n // 2) for k in range(n // 2)}
+
+    @pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), -1e-3, 1.0])
+    def test_rel_tol_outside_unit_interval_rejected(self, rel_tol):
+        for check in (active_set, verify):
+            with pytest.raises(InvalidConfigError, match="rel_tol"):
+                check(kite4(), rel_tol)
 
 
 class TestRecoverMultipliers:
@@ -341,11 +346,8 @@ def test_one_distance_matrix_per_check(check):
     distances = counter("distance", geometry._pair_rows)
     reciprocals = counter("reciprocal", geometry.stationarity_lhs)
     with mock.patch.object(geometry, "_pair_rows", distances), \
-            mock.patch.object(kkt, "_pair_rows", distances), \
-            mock.patch.object(diamgraph, "_pair_rows", distances), \
             mock.patch.object(constructions, "_pair_rows", distances), \
-            mock.patch.object(geometry, "stationarity_lhs", reciprocals), \
-            mock.patch.object(kkt, "stationarity_lhs", reciprocals):
+            mock.patch.object(geometry, "stationarity_lhs", reciprocals):
         check(regular_ngon(9))
     assert calls["distance"] == [9]
     sums = check in (verify, geometry.objective_gradient, _recover_multipliers)

@@ -42,7 +42,7 @@ from polydisc import (
 from polydisc import diamgraph, geometry
 from polydisc.cli import main, read_config, write_config
 from polydisc.geometry import diameter, normalize_to_diameter
-from polydisc.kkt import stationarity_lhs
+from polydisc.geometry import stationarity_lhs
 
 bounded = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
