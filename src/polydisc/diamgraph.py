@@ -107,7 +107,7 @@ def _diameter_graph(config: PointConfig, rel_tol: float, distinct: bool = False)
     are rejected first."""
     if config.n < 2:
         raise InvalidConfigError("diameter graph requires n >= 2")
-    edges, diam = _selected(config, rel_tol, active=False, distinct=distinct)
+    edges, _, diam = _selected(config, rel_tol, distinct=distinct)
     return DiameterGraph(n=config.n, edges=frozenset(_pair_list(edges))), diam
 
 

@@ -9,7 +9,9 @@ Delta / n^n for configurations rescaled to diameter 2.
 
 Each PointConfig keeps its distance pass at the default tolerance _TOL
 (_memo) and, apart from it, its stationarity sums (_sums), O(n) values each.
-_selected alone picks the pass for a selection of pairs by distance.
+Pairs are selected by distance by one rule, the diameter graph's: _selected
+picks the pass for its edges, with their distances, and the KKT active set
+is filtered from them.
 """
 
 from __future__ import annotations
@@ -32,14 +34,6 @@ _PRESCALE = 2.0 ** -600
 # keeps its diameter-graph edge candidates
 _TOL = 1e-9
 
-# the largest diameter at which the active set at _TOL is filtered from the
-# memo's diameter-graph edge candidates.  Those are all pairs with distance
-# at least (1 - _TOL) D, and at D <= 2 (1 + 1e-10) that cut is below
-# 2 (1 - 8.9e-10), while a pair with squared distance q >= 4 (1 - _TOL) is
-# at distance 2 sqrt(1 - _TOL) > 2 (1 - 5.1e-10) or more: every active pair
-# is a candidate, by a margin far above the rounding of either test
-_MEMO_DIAMETER = 2.0 * (1.0 + 1e-10)
-
 # entries of one temporary block of a pair array (4 MB of complex).
 # Pair kernels at large n run a block of rows at a time, so none holds more
 # than the arrays it returns plus one block: their peak memory then does not
@@ -56,6 +50,8 @@ def _exp(x: float) -> float:
 class PointConfig:
     """An ordered list of n planar points, stored as an (n, 2) float array.
 
+    The points are given as an (n, 2) array or as a flat array of even
+    length [x_1, y_1, x_2, ...]; anything else raises InvalidConfigError.
     Once a check reads its pairs, the object also keeps their reductions
     (see _memo and _sums), outside its dataclass fields.
     """
@@ -63,9 +59,15 @@ class PointConfig:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or (pts.size and pts.shape[1] != 2):
+        try:
+            pts = np.asarray(self.points, dtype=float)
+        except (TypeError, ValueError):  # ragged, or not numbers
+            raise InvalidConfigError("points are not an array of numbers") from None
+        if pts.ndim == 1 and pts.size % 2 == 0:
             pts = pts.reshape(-1, 2)
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise InvalidConfigError(f"points of shape {pts.shape} are neither (n, 2) "
+                                     "nor flat of even length")
         if pts.size and not np.isfinite(pts).all():
             raise InvalidConfigError("non-finite coordinate in configuration")
         pts = pts.copy()
@@ -135,14 +137,8 @@ class _Pairs:
     far: tuple[int, int] | None
     nearest: float | None = None
     log_sum: float | None = None
-    active_pairs: np.ndarray | None = None
     edge_pairs: np.ndarray | None = None
     edge_dist: np.ndarray | None = None
-
-    @property
-    def active(self) -> list | None:
-        """The rows of active_pairs as a list of pairs."""
-        return _pair_list(self.active_pairs)
 
     @property
     def edges(self) -> list | None:
@@ -155,8 +151,7 @@ def _pair_list(pairs: np.ndarray | None) -> list | None:
     return None if pairs is None else list(map(tuple, pairs.tolist()))
 
 
-def _pair_rows(z, *, nearest=False, logs=False, active=None, edges=None,
-               most=math.inf) -> _Pairs:
+def _pair_rows(z, *, nearest=False, logs=False, edges=None, most=math.inf) -> _Pairs:
     """One pass over the pairs of z, a block of rows at a time, forming each
     block of distances |z_j - z_k| once.
 
@@ -168,8 +163,6 @@ def _pair_rows(z, *, nearest=False, logs=False, active=None, edges=None,
       coincide;
     - ``logs``: ``log_sum``, the sum of the logs of the distances off the
       diagonal, -inf when one is 0, and ``nearest``;
-    - ``active``: the pairs (i < j) with squared distance at least
-      4 (1 - active), in row-major order, as the rows of ``active_pairs``;
     - ``edges``: the pairs (i < j) with distance at least (1 - edges) times
       the diameter, in row-major order, as the rows of ``edge_pairs``, and
       their distances as ``edge_dist``; both are None at n = 0, and once
@@ -191,7 +184,6 @@ def _pair_rows(z, *, nearest=False, logs=False, active=None, edges=None,
     n = len(z)
     nearest = nearest or logs
     top, far, low, log_sum = -math.inf, None, math.inf, 0.0
-    picked = None if active is None else [np.empty((0, 2), dtype=int)]
     found, kept = None if edges is None else [], 0
     # differences past the float range are inf
     with np.errstate(over="ignore", invalid="ignore"):
@@ -222,9 +214,6 @@ def _pair_rows(z, *, nearest=False, logs=False, active=None, edges=None,
                     kept = len(found[0][0])
                     if kept > most:
                         found = None
-            if picked is not None:
-                i, j = _upper(np.square(square) >= 4.0 * (1.0 - active))
-                picked.append(np.stack((lo + i, lo + j), axis=1))
             if logs:
                 off = _off_diagonal(d, lo)
                 low = min(low, float(off.min()))
@@ -242,8 +231,6 @@ def _pair_rows(z, *, nearest=False, logs=False, active=None, edges=None,
         result.nearest = low
     if logs:
         result.log_sum = log_sum if low > 0.0 else -math.inf
-    if picked is not None:
-        result.active_pairs = np.concatenate(picked)
     if found:
         # the cut of the final diameter: a block's own cut was at most this
         [(i, j, result.edge_dist)] = _past_cut(found, (1.0 - edges) * top)
@@ -308,31 +295,26 @@ def _sums(config: PointConfig) -> np.ndarray:
     return sums
 
 
-def _selected(config: PointConfig, rel_tol: float, *, active: bool,
-              distinct: bool = False) -> tuple[np.ndarray, float]:
-    """The KKT active set with ``active``, the pairs with squared distance at
-    least 4 (1 - rel_tol), else the diameter-graph edges, those with distance
-    at least (1 - rel_tol) times the diameter: the rows (i < j) of an index
-    array, in row-major order, and config's diameter.
+def _selected(config: PointConfig, rel_tol: float, *,
+              distinct: bool = False) -> tuple[np.ndarray, np.ndarray, float]:
+    """The diameter-graph edges of config, the pairs (i < j) with distance at
+    least (1 - rel_tol) times the diameter, as the rows of an index array in
+    row-major order, their distances, and config's diameter.
 
-    At _TOL they are filtered from the memo's edges where it keeps them, the
-    active pairs only up to the diameter _MEMO_DIAMETER; else they take a
-    pass of their own.  With ``distinct``, coincident points raise
+    At _TOL they are the memo's where it keeps them; else they take a pass
+    of their own.  With ``distinct``, coincident points raise
     SingularConfigError; a rel_tol not in [0, 1) raises InvalidConfigError.
     """
     if not 0.0 <= rel_tol < 1.0:
         raise InvalidConfigError(f"rel_tol {rel_tol} is not in [0, 1)")
     if rel_tol == _TOL:
         memo = _memo(config, distinct=distinct)
-        if memo.edge_pairs is not None and not active:
-            return memo.edge_pairs, memo.diameter
-        if memo.edge_pairs is not None and memo.diameter <= _MEMO_DIAMETER:
-            return memo.edge_pairs[np.square(memo.edge_dist) >= 4.0 * (1.0 - _TOL)], memo.diameter
-    found = _pair_rows(config.as_complex, nearest=distinct,
-                       **{"active" if active else "edges": rel_tol})
+        if memo.edge_pairs is not None:
+            return memo.edge_pairs, memo.edge_dist, memo.diameter
+    found = _pair_rows(config.as_complex, nearest=distinct, edges=rel_tol)
     if distinct and found.nearest == 0.0:
         raise SingularConfigError("coincident points")
-    return (found.active_pairs if active else found.edge_pairs), found.diameter
+    return found.edge_pairs, found.edge_dist, found.diameter
 
 
 def discriminant(config: PointConfig) -> tuple[float, float]:

@@ -4,10 +4,11 @@ At a candidate maximizer the per-point identity
 
     sum_{j != k} 1/(z_j - z_k) = sum_{pairs {j,k} active} lambda_{jk} (conj z_j - conj z_k)
 
-must hold with nonnegative multipliers supported on the active pairs
-(squared distance within tolerance of 4).  Multipliers are recovered by
-nonnegative least squares on the 2n real equations; the stationarity
-residual is the largest per-point modulus of the unexplained part.
+must hold with nonnegative multipliers supported on the active pairs, the
+diameter-graph edges whose squared distance is 4 or more, within tolerance
+(active_set).  Multipliers are recovered by nonnegative least squares on
+the 2n real equations; the stationarity residual is the largest per-point
+modulus of the unexplained part.
 
 A diameter graph has at most n edges and each column of the system has four
 nonzeros, so the least-squares solves use the normal equations, assembled
@@ -22,8 +23,9 @@ past the float range, fall back to np.linalg.lstsq on the dense system, and
 more than 2n - 3 pairs, always dependent, go there before the normal matrix
 is built.
 verify, active_set and recover_multipliers hold no n x n array: the
-active set is a selection by distance (geometry._selected), and the
-stationarity sums are the one pass kept on the object (geometry._sums).
+active set is filtered from the diameter-graph edges (geometry._selected),
+and the stationarity sums are the one pass kept on the object
+(geometry._sums).
 _fit is the one entry to the nonnegative least squares.
 """
 
@@ -58,11 +60,19 @@ class KKTReport:
 
 
 def active_set(config: PointConfig, rel_tol: float = 1e-9) -> list[Pair]:
-    """Pairs with squared distance at least 4 (1 - rel_tol), 0 <= rel_tol < 1.
+    """The diameter-graph edges at rel_tol, 0 <= rel_tol < 1, with squared
+    distance at least 4 (1 - rel_tol): up to the diameter 2 / sqrt(1 - rel_tol)
+    all the pairs at that squared distance or more, past it all the edges."""
+    if config.n == 0:  # a pass over no points keeps no edge arrays
+        return []
+    return _pair_list(_active(config, rel_tol))
 
-    The configuration is expected to be normalized to diameter 2.
-    """
-    return _pair_list(_selected(config, rel_tol, active=True)[0])
+
+def _active(config: PointConfig, rel_tol: float, distinct: bool = False) -> np.ndarray:
+    """active_set as the rows of an index array."""
+    pairs, dist, _ = _selected(config, rel_tol, distinct=distinct)
+    with np.errstate(over="ignore"):  # squares past the float range are active
+        return pairs[np.square(dist) >= 4.0 * (1.0 - rel_tol)]
 
 
 def _pair_arrays(pairs):
@@ -337,11 +347,13 @@ def recover_multipliers(config: PointConfig, active) -> tuple[dict, float]:
 
 
 def verify(config: PointConfig, rel_tol: float = 1e-9) -> KKTReport:
-    """Full first-order report: active set, multipliers, residuals, slackness."""
+    """Full first-order report: active set (active_set), multipliers,
+    residuals, slackness: past the diameter 2 / sqrt(1 - rel_tol) the
+    diameters' gaps to 2 show in complementarity_violation."""
     if config.n < 2:
         raise InvalidConfigError("need n >= 2")
     z = config.as_complex
-    pairs = _selected(config, rel_tol, active=True, distinct=True)[0]
+    pairs = _active(config, rel_tol, distinct=True)
     a, b = pairs.T
     lam, resid = _fit(z, a, b, _sums(config))
     # a zero multiplier contributes 0, even where its gap is past the float

@@ -76,8 +76,10 @@ class OptimizeOptions:
     record_trace: bool = False
 
     def __post_init__(self):
-        if self.starts < 1:
-            raise InvalidConfigError("starts must be >= 1")
+        for name, low in (("seed", 0), ("starts", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise InvalidConfigError(f"{name} must be an int >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -449,12 +451,12 @@ def _polish(index, z, lam_matrix, used, rounds, penalty, keep, trace):
     penalty ``penalty``.
 
     The working set is the prescribed pairs ``keep``, the pairs with an
-    ascent multiplier above 1e-7 and the pairs within 1e-5 of the diameter,
-    seeded with the ascent's multipliers.  verify judges the polished point,
-    or the ascent's point when the solve failed.
+    ascent multiplier above 1e-7 and the pairs at squared distance
+    4 (1 - 1e-5) or more, seeded with the ascent's multipliers.  verify
+    judges the polished point, or the ascent's point when the solve failed.
     """
     act = sorted(set(keep).union(upper_pairs(lam_matrix > 1e-7),
-                                 _pair_rows(z, active=1e-5).active))
+                                 upper_pairs(_pair_sq(z)[1] >= 4.0 * (1.0 - 1e-5))))
     z2, ok, newton_its = _newton_kkt(z, act, lam_matrix[_pair_arrays(act)])
     iterations = int(used) + newton_its
 

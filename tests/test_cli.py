@@ -330,6 +330,8 @@ class TestErrorPaths:
         ("construct --family triwave --out {D}/k.json", 2),
         ("construct --family triwave --n 7 --out {D}/k.json", 2),
         ("optimize --n 5 --graph 4;1-2 --out {D}/o.json", 2),
+        ("optimize --n 4 --seed -1 --out {D}/o.json", 2),
+        ("table --n 12 --seed -1 --out {D}/t.csv", 2),
         ("evaluate {D}/one.json", 2),
         ("kkt {D}/one.json", 2),
         ("evaluate {D}/kite.json --rel-tol nan", 2),

@@ -55,6 +55,21 @@ class TestDiscriminant:
         with pytest.raises(InvalidConfigError):
             PointConfig([[0, 0], [math.nan, 1]])
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (0, 3), (2, 2, 2), ()])
+    def test_shape_other_than_n_by_2_or_flat_even_rejected(self, shape):
+        with pytest.raises(InvalidConfigError):
+            PointConfig(np.zeros(shape))
+
+    @pytest.mark.parametrize("points", [[[0, 0], [1]], [["a", "b"]]])
+    def test_ragged_or_non_numeric_points_rejected(self, points):
+        with pytest.raises(InvalidConfigError):
+            PointConfig(points)
+
+    def test_flat_even_length_read_as_xy_pairs(self):
+        assert PointConfig(np.arange(6.0)).points.tolist() == [[0, 1], [2, 3], [4, 5]]
+        assert PointConfig([]).n == 0
+        assert PointConfig(np.empty((0, 2))).n == 0
+
     def test_log_only_flag(self):
         # log Delta of a diameter-2 regular 200-gon is n log n ~ 1060,
         # past the exp range; delta_bar must still come out finite

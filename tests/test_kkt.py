@@ -276,18 +276,19 @@ def test_dependent_columns_take_the_lstsq_path(points):
 
 
 def test_overflowing_normal_equations_fall_back():
-    # pair differences near 1e160 square past the float range: every pair
-    # is active, and the gaps to the diameter 2 are inf
+    # pair differences near 1e160 square past the float range: the five
+    # diagonals, the diameter-graph edges, are active, and their gaps to the
+    # diameter 2 are inf
     active = active_set(regular_ngon(5))
     config = PointConfig(regular_ngon(5).points * 1e160)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
             lam, residual = recover_multipliers(config, active)
-        every_pair = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-        assert active_set(config) == every_pair
+        diagonals = [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)]
+        assert active_set(config) == diagonals
         report = verify(config)
-    assert report.active_set == tuple(every_pair)
+    assert report.active_set == tuple(diagonals)
     assert report.min_multiplier > 0.0 and report.complementarity_violation == math.inf
     # the squares of the residual underflow, and the norm is rescaled
     assert 0 < report.stationarity_residual <= report.residual_norm2
@@ -305,10 +306,37 @@ def test_zero_multipliers_add_no_complementarity(scale):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = verify(config)
-    assert len(report.active_set) == 10
+    assert report.active_set == ((0, 2), (0, 3), (1, 3), (1, 4), (2, 4))
     assert set(report.multipliers.values()) == {0.0}
     assert report.complementarity_violation == 0.0
     assert 0.0 < report.stationarity_residual <= report.residual_norm2 < math.inf
+
+
+def test_past_the_diameter_2_only_edges_are_active():
+    # at diameter 4 every pair of the 40-gon is at squared distance 4 or
+    # more, but only its diameter-graph edges are active, and their gaps to
+    # the diameter 2 show the configuration infeasible
+    config = PointConfig(regular_ngon(40).points * 2.0)
+    edges = sorted(diamgraph.extract(config).edges)
+    assert len(edges) == 20
+    assert active_set(config) == edges
+    report = verify(config)
+    assert report.active_set == tuple(edges)
+    assert report.complementarity_violation > 1.0
+
+
+def test_overflowing_squares_fit_the_diameter_graph_in_little_memory():
+    # every square of the scaled 101-gon overflows; its 101 diameters, not
+    # its 5050 pairs, are active, and the fit is not dense in the pairs
+    config = PointConfig(regular_ngon(101).points * 2.0 ** 1010)
+    tracemalloc.start()
+    try:
+        report = verify(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.active_set) == 101
+    assert peak < 2 * 2 ** 20
 
 
 NONAGON_GRAPH = diamgraph.extract(regular_ngon(9))

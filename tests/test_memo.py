@@ -184,8 +184,8 @@ def test_candidates_past_an_early_cut_do_not_count_against_the_cap(monkeypatch):
 def test_pass_without_logs_or_sums_matches_full_rows(monkeypatch, rows, case):
     # the pass that forms only the columns right of each block's first row
     # takes the reductions of the full rows: the first pair at the largest
-    # distance among ties, the smallest distance, the active pairs and the
-    # edges with their distances
+    # distance among ties, the smallest distance and the edges with their
+    # distances
     n = 37
     if rows is not None:
         monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", rows * n)
@@ -193,13 +193,12 @@ def test_pass_without_logs_or_sums_matches_full_rows(monkeypatch, rows, case):
          "regular": lambda: regular_ngon(n).as_complex,
          "coincident": lambda: regular_ngon(n - 1).as_complex[np.r_[:n - 1, 3]],
          "one_place": lambda: np.full(n, 0.5 + 0.25j)}[case]()
-    some = dict(nearest=True, active=-0.5, edges=1e-9)
+    some = dict(nearest=True, edges=1e-9)
     part, full = geometry._pair_rows(z, **some), geometry._pair_rows(z, logs=True, **some)
     d = pairwise_distances(z)
     assert part.diameter == full.diameter == d.max()
     assert part.far == full.far
     assert part.nearest == full.nearest == d[~np.eye(n, dtype=bool)].min()
-    assert part.active == full.active
     assert part.edges == full.edges
     assert part.edge_dist.tobytes() == full.edge_dist.tobytes()
     assert [d[p] for p in part.edges] == part.edge_dist.tolist()
@@ -289,11 +288,12 @@ def test_another_tolerance_takes_its_own_pass(monkeypatch, call, passes):
 
 
 def test_verify_past_the_memo_diameter_takes_its_own_active_pass(monkeypatch):
-    # above 2 (1 + 1e-10) not every active pair need be an edge candidate
+    # the active set is filtered from the memo's edges whatever the
+    # diameter, so verify takes no distance pass beyond the memo's
     config = PointConfig(regular_ngon(40).points * (1.0 + 1e-9))
     counts = _count_passes(monkeypatch)
     report = kkt.verify(config)
-    assert counts == {"distance": 2, "reciprocal": 1}
+    assert counts == {"distance": 1, "reciprocal": 1}
     d2 = pairwise_distances(config.as_complex) ** 2
     assert list(report.active_set) == [(i, j) for i in range(40) for j in range(i + 1, 40)
                                        if d2[i, j] >= 4.0 * (1.0 - 1e-9)]

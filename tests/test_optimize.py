@@ -488,6 +488,20 @@ class TestMaximizeWithGraph:
         assert result.delta_bar == pytest.approx(KITE_VALUE, abs=1e-9)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(seed=-1), dict(seed=1.0), dict(seed=True), dict(seed=None),
+    dict(starts=0), dict(starts=1.5), dict(starts=True), dict(starts="2"),
+])
+def test_options_reject_seeds_and_start_counts_that_are_not_ints_in_range(kwargs):
+    from polydisc import InvalidConfigError
+    with pytest.raises(InvalidConfigError):
+        OptimizeOptions(**kwargs)
+
+
+def test_options_accept_numpy_ints():
+    assert OptimizeOptions(seed=np.int64(3), starts=np.int64(2)).starts == 2
+
+
 class TestSweep:
     def test_n5_winner_is_pentagon_cycle(self):
         ranked = sweep_graphs(5, OptimizeOptions(seed=11, starts=4))

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from polydisc import (PointConfig, SingularConfigError, active_set, extract, geometry,
-                      maximizer_structure_report, objective_gradient, recover_multipliers,
-                      regular_ngon, verify)
+from polydisc import (PointConfig, SingularConfigError, active_set, arc_polygon, extract,
+                      geometry, maximizer_structure_report, objective_gradient,
+                      recover_multipliers, regular_ngon, triwave, verify)
 from polydisc.geometry import normalize_to_diameter, pairwise_distances, upper_pairs
 
 
@@ -44,6 +44,39 @@ def test_extract_matches_loop(config, rel_tol):
     d = pairwise_distances(config.as_complex)
     expected = loop_pairs(d, (1.0 - rel_tol) * d.max())
     assert sorted(extract(config, rel_tol).edges) == expected
+
+
+def _moved_arc():
+    z = arc_polygon(20).P.as_complex[np.random.default_rng(20).permutation(120)]
+    return PointConfig.from_complex(z * np.exp(0.7j) + (0.3 - 0.2j))
+
+
+SELECTION_CONFIGS = {
+    "relabelled_regular301": lambda: regular_ngon(301).points[
+        np.random.default_rng(301).permutation(301)],
+    "moved_arc20": lambda: _moved_arc().points,
+    "triwave256": lambda: triwave(256).config.points,
+    "random40": lambda: _random(7, 40).points,
+}
+
+
+@pytest.mark.parametrize("rows", [1, 2, None])
+@pytest.mark.parametrize("grow", [False, True])
+@pytest.mark.parametrize("rel_tol", [1e-12, 1e-9, 1e-3, 0.5])
+@pytest.mark.parametrize("name", sorted(SELECTION_CONFIGS))
+def test_active_set_is_the_edges_past_the_absolute_cut(monkeypatch, name, rel_tol, grow, rows):
+    # up to the diameter 2 / sqrt(1 - rel_tol) every pair at squared distance
+    # 4 (1 - rel_tol) or more is a diameter-graph edge, so the active set,
+    # filtered from the edges, is all of them: at diameter 2 and at
+    # 2 (1 + 0.45 rel_tol), just inside that bound
+    points = SELECTION_CONFIGS[name]()
+    if rows is not None:
+        monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", rows * len(points))
+    config = PointConfig(points * (1.0 + 0.45 * rel_tol) if grow else points)
+    found = active_set(config, rel_tol)
+    d2 = pairwise_distances(config.as_complex) ** 2
+    assert found == upper_reference(d2 >= 4.0 * (1.0 - rel_tol))
+    assert set(found) <= extract(PointConfig(config.points), rel_tol).edges
 
 
 def test_regular_polygon_ties():
@@ -122,10 +155,7 @@ def test_fused_pass_matches_distances_and_sums(monkeypatch, n, scale, close, row
     if rows is not None:
         monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", rows * n)
     z = _fused_case(n, scale, close)
-    # pairs at squared distance 36 or more: a few at scale 1 and none at
-    # 1e-150; at 2^1010 every square overflows, so that every pair is active
-    active = -8.0 if scale < 2.0 ** 1000 else None
-    found = geometry._pair_rows(z, nearest=True, logs=True, active=active, edges=1e-3)
+    found = geometry._pair_rows(z, nearest=True, logs=True, edges=1e-3)
     L = geometry.stationarity_lhs(z)
     ref_d, ref_L = loop_distances_and_sums(z)
     assert pairwise_distances(z).tobytes() == ref_d.tobytes()
@@ -139,8 +169,6 @@ def test_fused_pass_matches_distances_and_sums(monkeypatch, n, scale, close, row
     # one block, the sum over the whole matrix
     assert found.log_sum == sum(float(np.sum(np.log(ref_d[r][off[r]])))
                                 for r in geometry._row_blocks(n))
-    if active is not None:
-        assert found.active == upper_reference(ref_d ** 2 >= 36.0)
     assert found.edges == upper_reference(ref_d >= (1.0 - 1e-3) * ref_d.max())
 
 
