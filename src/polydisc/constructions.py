@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InfeasibleError, InvalidConfigError
-from .geometry import PointConfig, _pair_rows
+from .geometry import PointConfig, _pair_rows, _row_blocks
 
 SQRT3 = math.sqrt(3.0)
 OMEGA = cmath.exp(2j * math.pi / 3)  # primitive cube root of unity
@@ -334,10 +334,9 @@ def zonogon_support_max(n: int, grid_points: int = 10 ** 6) -> float:
     delta = math.pi / n
     best = 0.0
     m = np.arange(n) * delta
-    chunk = max(1, 10 ** 7 // max(n, 1))
     t = np.linspace(0.0, 2.0 * math.pi, grid_points, endpoint=False)
-    for s in range(0, grid_points, chunk):
-        block = t[s:s + chunk, None] - m[None, :]
+    for rows in _row_blocks(grid_points, n):
+        block = t[rows, None] - m[None, :]
         best = max(best, float(np.abs(np.cos(block)).sum(axis=1).max()))
     return best
 

@@ -468,12 +468,6 @@ def hull_indices(points: np.ndarray, eps: float) -> list[int]:
     return chain(order)[:-1] + chain(order[::-1])[:-1]
 
 
-def upper_pairs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Pairs (i, j) with i < j where the (n, n) mask holds, in row-major order."""
-    i, j = _upper(mask)
-    return list(zip(i.tolist(), j.tolist()))
-
-
 def _upper(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows and the columns i < j where a 2-d mask holds, in row-major
     order."""

@@ -27,8 +27,8 @@ from .constructions import _circumradius
 from .diamgraph import (DiameterGraph, enumerate_caterpillars,
                         enumerate_unicyclic_candidates)
 from .errors import InvalidConfigError
-from .geometry import (PointConfig, _pair_rows, _pair_sq, _rescale_factor,
-                       complex_gradient, log_delta_bar, upper_pairs)
+from .geometry import (PointConfig, _pair_rows, _pair_sq, _rescale_factor, _upper,
+                       complex_gradient, log_delta_bar)
 from .kkt import _constraint_gaps, _constraint_matrix, _pair_arrays
 
 TERM_CONVERGED = "gradient-converged"
@@ -57,11 +57,8 @@ _TOL_CONSTRAINT = 1e-10
 # Largest sweep order; the number of admissible graphs grows exponentially.
 _SWEEP_MAX_N = 12
 
-# Line-search trials 2^-k, k < 50.  Scaling by a power of two is exact, so
-# scoring several trials per merit call accepts the same one as trying them
-# one at a time.
+# Line-search trials 2^-k, k < 50.
 _HALVINGS = np.ldexp(1.0, -np.arange(50))
-_TRIALS_PER_CALL = 3
 
 # The ascent's Newton step: the smallest curvature it divides by, and the
 # largest move of one point.
@@ -80,6 +77,8 @@ class OptimizeOptions:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
                 raise InvalidConfigError(f"{name} must be an int >= {low}, got {value!r}")
+        if not isinstance(self.record_trace, (bool, np.bool_)):
+            raise InvalidConfigError(f"record_trace must be a bool, got {self.record_trace!r}")
 
 
 @dataclass(frozen=True)
@@ -254,26 +253,22 @@ def _line_search(z, direction, phi, lam, mu, lo):
     """Per row, the first trial step 2^-k (k < 50) whose point
     z + step direction has a merit above phi.
 
-    A row whose last trial so far rounds to z itself fails at once: every
-    smaller step rounds to z too, and the merit there is phi.  Returns
+    Each merit call scores one trial of every row still searching; a row
+    leaves once its merit rises, or once its trial rounds to z itself, as
+    every smaller step rounds to z too and the merit there is phi.  A row's
+    merit does not depend on the rows scored with it, so the accepted step
+    is the one a search of that row alone accepts.  Returns
     (found, z_new, phi_new): ``found`` masks the rows whose merit rose, and
     the other rows keep their z and phi.
     """
     z_new, phi_new = z.copy(), phi.copy()
     todo = np.arange(len(z))
-    sel = slice(None)  # rows of todo, without a gather while it holds all
-    for first in range(0, len(_HALVINGS), _TRIALS_PER_CALL):
-        steps = _HALVINGS[first:first + _TRIALS_PER_CALL, None]
-        zt = z[sel, None] + steps * direction[sel, None]
-        phi_t = _merit_value(zt, lam[sel, None], mu[sel, None], lo[sel, None])
-        better = phi_t > phi[sel, None]
-        j = better.argmax(axis=1)
-        hit = better.any(axis=1)
-        rows, j = todo[hit], j[hit]
-        z_new[rows] = zt[hit, j]
-        phi_new[rows] = phi_t[hit, j]
-        left = ~hit & (zt[:, -1] != z[sel]).any(axis=1)
-        todo = sel = todo[left]
+    for step in _HALVINGS:
+        zt = z[todo] + step * direction[todo]
+        phi_t = _merit_value(zt, lam[todo], mu[todo], lo[todo])
+        hit = phi_t > phi[todo]
+        z_new[todo[hit]], phi_new[todo[hit]] = zt[hit], phi_t[hit]
+        todo = todo[~hit & (zt != z[todo]).any(axis=1)]
         if not todo.size:
             break
     return phi_new > phi, z_new, phi_new
@@ -291,7 +286,8 @@ def _al_phase(z, eq, traces=None):
 
     A round takes the starts still ascending through at most _ROUND_STEPS
     modified Newton steps (_newton_step) at fixed multipliers and penalty,
-    each followed by a halving line search from the full step.  A start
+    each followed by a halving line search from the full step
+    (_line_search), one merit call per trial step.  A start
     leaves the round when its gradient test passes or its line search fails,
     and that step counts as one of its iterations.  After the round, each of
     its starts updates its multipliers.  It leaves the ascent after _ROUNDS
@@ -329,6 +325,8 @@ def _al_phase(z, eq, traces=None):
             d, hess = _merit_derivatives(z[live], laml, mul, lol)
             go = np.maximum.reduce(np.abs(d), axis=1) >= gtol
             if go.any():
+                # a slice takes the rows without a copy: a mask would copy the
+                # (S, 2n, 2n) Hessian at every step, most of which keep every row
                 sub = slice(None) if go.all() else go
                 rows = live[sub]
                 found, z[rows], phi[sub] = _line_search(
@@ -386,7 +384,7 @@ _NEWTON_TRIALS = 16
 
 def _newton_kkt(z, act, lam):
     """Newton solve of the stationarity system on one working set: the
-    sorted pair list ``act`` with the multipliers ``lam``, from any source.
+    sorted pairs ``act`` (i < j) with the multipliers ``lam``, from any source.
 
     The set converges once max |F| < _NEWTON_TOL, or at the roundoff floor:
     max |F| < _NEWTON_FLOOR and the last step cut it by less than 10x or its
@@ -450,14 +448,14 @@ def _polish(index, z, lam_matrix, used, rounds, penalty, keep, trace):
     ascent, which used ``used`` iterations in ``rounds`` rounds, the last at
     penalty ``penalty``.
 
-    The working set is the prescribed pairs ``keep``, the pairs with an
-    ascent multiplier above 1e-7 and the pairs at squared distance
-    4 (1 - 1e-5) or more, seeded with the ascent's multipliers.  verify
-    judges the polished point, or the ascent's point when the solve failed.
+    The working set is one (n, n) mask, in row-major order: the mask ``keep``
+    of prescribed pairs, the pairs with an ascent multiplier above 1e-7 and the
+    pairs at squared distance 4 (1 - 1e-5) or more, seeded with the ascent's
+    multipliers.  verify judges the polished point, or the ascent's point
+    when the solve failed.
     """
-    act = sorted(set(keep).union(upper_pairs(lam_matrix > 1e-7),
-                                 upper_pairs(_pair_sq(z)[1] >= 4.0 * (1.0 - 1e-5))))
-    z2, ok, newton_its = _newton_kkt(z, act, lam_matrix[_pair_arrays(act)])
+    a, b = _upper(keep | (lam_matrix > 1e-7) | (_pair_sq(z)[1] >= 4.0 * (1.0 - 1e-5)))
+    z2, ok, newton_its = _newton_kkt(z, np.column_stack((a, b)), lam_matrix[a, b])
     iterations = int(used) + newton_its
 
     config = PointConfig.from_complex(_rescale(z2))
@@ -496,8 +494,8 @@ def _solve(n: int, opts: OptimizeOptions, edge_sets):
                 eq[r, a, b] = eq[r, b, a] = True
         traces = [[] for _ in part] if opts.record_trace else None
         z, lam, used, rounds, mu = _al_phase(z, eq, traces)
-        results += [_polish(s, z[r], lam[r], used[r], rounds[r], mu[r],
-                            upper_pairs(eq[r]), traces[r] if traces else None)
+        results += [_polish(s, z[r], lam[r], used[r], rounds[r], mu[r], eq[r],
+                            traces[r] if traces else None)
                     for r, (_, s) in enumerate(part)]
     return [results[i:i + opts.starts] for i in range(0, len(results), opts.starts)]
 
@@ -505,12 +503,8 @@ def _solve(n: int, opts: OptimizeOptions, edge_sets):
 def _result(results, graph: Optional[DiameterGraph] = None) -> OptimizeResult:
     """The winning start (largest value, ties to the smaller residual) of one
     run, with the run's start summaries and, for a target graph, its flags."""
-    best = None
-    for summary, config, multipliers, ok in results:
-        key = (summary.log_delta_bar, -summary.kkt_residual)
-        if best is None or key > best[0]:
-            best = (key, summary, config, multipliers, ok)
-    _, summary, config, multipliers, ok = best
+    summary, config, multipliers, ok = max(
+        results, key=lambda r: (r[0].log_delta_bar, -r[0].kkt_residual))
     flags = {}
     if graph is not None:
         achieved = set(summary.active_set)
@@ -615,21 +609,13 @@ def congruent(a: PointConfig, b: PointConfig, tol: float = 1e-5) -> bool:
         for flip in (False, True):
             zt = np.conj(za) if flip else za
             zt = zt * (zb[ref] / (np.conj(za[i]) if flip else za[i]))
-            used = [False] * b.n
-            good = True
-            for p in zt:
-                hit = None
-                for j in range(b.n):
-                    if used[j]:
-                        continue
-                    dd = p - zb[j]
-                    if abs(dd.real) <= tol and abs(dd.imag) <= tol:
-                        hit = j
-                        break
-                if hit is None:
-                    good = False
+            d = zt[:, None] - zb[None, :]
+            free = np.ones(b.n, dtype=bool)
+            for close in (np.abs(d.real) <= tol) & (np.abs(d.imag) <= tol):
+                j = np.argmax(close & free)
+                if not (close[j] and free[j]):
                     break
-                used[hit] = True
-            if good:
+                free[j] = False
+            else:
                 return True
     return False

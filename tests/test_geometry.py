@@ -17,7 +17,7 @@ from polydisc import (
 )
 from polydisc.constructions import hexagon6, kite4, regular_ngon
 from polydisc import geometry
-from polydisc.geometry import hull_indices, log_delta_bar, pairwise_distances, upper_pairs
+from polydisc.geometry import _pair_list, _upper, hull_indices, log_delta_bar, pairwise_distances
 
 SQRT3 = math.sqrt(3.0)
 
@@ -263,7 +263,7 @@ class TestPairKernels:
         mask = np.random.default_rng(n).uniform(size=(n, n)) < density
         i, j = np.nonzero(mask)
         expected = [(p, q) for p, q in zip(i.tolist(), j.tolist()) if p < q]
-        assert upper_pairs(mask) == expected
+        assert _pair_list(np.column_stack(_upper(mask))) == expected
 
     @pytest.mark.parametrize("n", [2, 3, 5, 40])
     def test_log_discriminant_matches_masked_sum(self, n):

@@ -18,9 +18,10 @@ from polydisc import (
     sweep_graphs,
 )
 from polydisc import geometry, optimize
-from polydisc.constructions import arc_polygon, hexagon6, kite4, regular_ngon
+from polydisc.constructions import arc_polygon, dodecagon12, hexagon6, kite4, regular_ngon
 from polydisc.diamgraph import maximizer_structure_report
-from polydisc.geometry import diameter, log_delta_bar, pairwise_distances, upper_pairs
+from polydisc.geometry import (_pair_list, _upper, diameter, log_delta_bar,
+                               pairwise_distances)
 from polydisc.kkt import verify
 
 SQRT3 = math.sqrt(3.0)
@@ -185,7 +186,8 @@ class TestNewtonStop:
         # falls only from 16 to 8 in two steps
         graph = conjectured_even_graph(8)
         z = optimize._start_config(8, 0, 1, graph.edges)
-        act = sorted(set(graph.edges) | set(upper_pairs(pairwise_distances(z) >= 2.0 - 1e-5)))
+        far = _pair_list(np.column_stack(_upper(pairwise_distances(z) >= 2.0 - 1e-5)))
+        act = sorted(set(graph.edges) | set(far))
         z_out, ok, steps = optimize._newton_kkt(z, act, np.zeros(len(act)))
         assert not ok and z_out is z
         assert steps <= optimize._NEWTON_PATIENCE + 1
@@ -392,7 +394,8 @@ class TestNewtonAscent:
                     reference[r] = (k, zt, phi_t)
                     break
         assert sorted(reference) == [0, 2]
-        assert reference[0][0] < optimize._TRIALS_PER_CALL <= reference[2][0]
+        k0, k2 = reference[0][0], reference[2][0]
+        assert k0 < k2
         calls = []
         merit = optimize._merit_value
         monkeypatch.setattr(optimize, "_merit_value",
@@ -402,9 +405,10 @@ class TestNewtonAscent:
         for r in (0, 2):
             assert np.array_equal(z_new[r], reference[r][1]) and phi_new[r] == reference[r][2]
         assert np.array_equal(z_new[1], z[1]) and phi_new[1] == phi[1]
-        # rows 0 and 1 leave after the first merit call (the 50-halving search
-        # made 17 for row 1); row 2 goes on alone
-        assert calls == [3] + [1] * (reference[2][0] // optimize._TRIALS_PER_CALL)
+        # each merit call scores one trial per row: row 1 leaves after the
+        # first (without that exit it would take all 50), row 0 after trial k0,
+        # and row 2 goes on alone up to trial k2
+        assert calls == [3] + [2] * k0 + [1] * (k2 - k0)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_n6_free_starts_converge(self, seed):
@@ -500,6 +504,18 @@ def test_options_reject_seeds_and_start_counts_that_are_not_ints_in_range(kwargs
 
 def test_options_accept_numpy_ints():
     assert OptimizeOptions(seed=np.int64(3), starts=np.int64(2)).starts == 2
+
+
+@pytest.mark.parametrize("record_trace", ["no", 1, None])
+def test_options_reject_record_trace_that_is_not_a_bool(record_trace):
+    # "no" used to record traces, being truthy
+    from polydisc import InvalidConfigError
+    with pytest.raises(InvalidConfigError):
+        OptimizeOptions(record_trace=record_trace)
+
+
+def test_options_accept_numpy_bool():
+    assert OptimizeOptions(record_trace=np.bool_(True)).record_trace
 
 
 class TestSweep:
@@ -634,6 +650,58 @@ def test_seeded_run_is_pinned():
     assert result.config.points.tolist() == PINNED_POINTS
 
 
+# Graph-targeted runs at seed 0 with 4 starts: per start (log Delta-bar,
+# iterations, termination, active set, AL rounds, final penalty), then the
+# winner's points and (achieved_matches_request, graph_infeasible).  They
+# reach what the free run does not: the equality floors, the prescribed-pair
+# working set and, at n = 8, the stall streak (starts 2 and 3).
+CONJ6_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5))
+STALL8_EDGES = ((0, 1), (0, 4), (0, 5), (1, 2), (1, 6), (2, 3), (3, 4), (3, 7))
+PINNED_GRAPH_RUNS = {
+    "conjectured6": (
+        6, "6;1-2,1-3,1-4,2-3,2-5,3-6", [
+            (0.27067907069227104, 26, "gradient-converged", CONJ6_EDGES, 7, 100.0),
+            (0.2706790706911484, 28, "gradient-converged", CONJ6_EDGES, 7, 100.0),
+            (0.2706790706915143, 25, "gradient-converged", CONJ6_EDGES, 7, 100.0),
+            (0.2706790706909423, 25, "gradient-converged", CONJ6_EDGES, 7, 100.0),
+        ], [
+            [-0.5011310629150323, -1.1768920746176756],
+            [1.1126002349479092, 0.004577898888882194],
+            [-0.7174484248487684, 0.8113752109669431],
+            [0.30566624916012636, 0.6531565851724175],
+            [-0.8756670506295571, -0.2117394630440753],
+            [0.46402154865353923, -0.802356086890193],
+        ], (True, False)),
+    "stalling8": (
+        8, "8;1-2,1-5,1-6,2-3,2-7,3-4,4-5,4-8", [
+            (-1.2885760654983542, 44, "stalled", STALL8_EDGES, 12, 1000.0),
+            (-1.2885760669945423, 39, "stalled", STALL8_EDGES, 12, 1000.0),
+            (-13.190487499188906, 54, "stalled", ((0, 1),), 5, 10000.0),
+            (-13.190487522586357, 54, "stalled", ((0, 1),), 5, 10000.0),
+        ], [
+            [-1.1348652617473183, 0.32081383267900015],
+            [0.29215952459730476, -1.0804713842408398],
+            [0.07074711113968458, 0.9072349680723362],
+            [-0.883482454837724, -0.8504470097687604],
+            [0.856541541296859, 0.13561409010723535],
+            [0.5997601830654198, -0.6747134476899386],
+            [-0.7347728235602086, 0.6357482846996664],
+            [0.5178027620588592, 0.5765777765521789],
+        ], (True, False)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_GRAPH_RUNS))
+def test_graph_run_is_pinned(name):
+    n, text, starts, points, flags = PINNED_GRAPH_RUNS[name]
+    result = maximize_with_graph(n, parse_graph_text(text), OptimizeOptions(seed=0, starts=4))
+    got = [(s.log_delta_bar, s.iterations, s.termination, s.active_set, s.al_rounds,
+            s.final_penalty) for s in result.starts]
+    assert got == starts
+    assert result.config.points.tolist() == points
+    assert (result.achieved_matches_request, result.graph_infeasible) == flags
+
+
 class TestGauge:
     def test_gauge_fix_pose(self):
         cfg = gauge_fix(kite4())
@@ -663,3 +731,77 @@ class TestGauge:
             assert gauge_fix(empty).n == 0
             assert congruent(empty, empty)
         assert not congruent(empty, kite4())
+
+
+def _congruent_by_loop(a, b, tol):
+    """congruent as it was written first, matching point by point in a
+    Python double loop: the reference for the mask-based matching."""
+    if a.n != b.n:
+        return False
+    if a.n == 0:
+        return True
+    za = a.as_complex - a.as_complex.mean()
+    zb = b.as_complex - b.as_complex.mean()
+    rb = np.abs(zb)
+    ref = int(np.argmax(rb))
+    if rb[ref] == 0.0:
+        return bool(np.abs(za).max() <= tol)
+    candidates = [i for i in range(a.n) if abs(abs(za[i]) - rb[ref]) <= 2 * tol]
+    for i in candidates:
+        if abs(za[i]) == 0:
+            continue
+        for flip in (False, True):
+            zt = np.conj(za) if flip else za
+            zt = zt * (zb[ref] / (np.conj(za[i]) if flip else za[i]))
+            used = [False] * b.n
+            good = True
+            for p in zt:
+                hit = None
+                for j in range(b.n):
+                    if used[j]:
+                        continue
+                    dd = p - zb[j]
+                    if abs(dd.real) <= tol and abs(dd.imag) <= tol:
+                        hit = j
+                        break
+                if hit is None:
+                    good = False
+                    break
+                used[hit] = True
+            if good:
+                return True
+    return False
+
+
+def _congruence_panel(base, rng):
+    """Twelve copies of base: relabelled, rotated and shifted, reflected,
+    with one point moved by 1e-12, 1e-7, 1e-4 or 1e-3, or scaled by 1.001."""
+    z = base.as_complex
+    n = len(z)
+
+    def moved(w, size):
+        w = w.copy()
+        w[rng.integers(n)] += size * np.exp(2j * np.pi * rng.uniform())
+        return w
+
+    def rigid(w):
+        return w * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) + complex(*rng.normal(size=2))
+
+    copies = [z, z[rng.permutation(n)], rigid(z), np.conj(z),
+              rigid(np.conj(z))[rng.permutation(n)], moved(z, 1e-7), moved(z, 1e-3),
+              rigid(moved(z, 1e-7))[rng.permutation(n)], moved(rigid(z), 1e-12),
+              1.001 * z, moved(np.conj(z), 1e-4), z[::-1]]
+    return [PointConfig.from_complex(w) for w in copies]
+
+
+@pytest.mark.parametrize("name", ["kite4", "hexagon6", "dodecagon12", "arc10", "regular30"])
+def test_congruent_matches_point_by_point_loop(name):
+    base = {"kite4": kite4, "hexagon6": hexagon6, "dodecagon12": lambda: dodecagon12()[1],
+            "arc10": lambda: arc_polygon(10).P, "regular30": lambda: regular_ngon(30)}[name]()
+    verdicts = []
+    for other in _congruence_panel(base, np.random.default_rng(len(name))):
+        for tol in (1e-9, 1e-5):
+            verdicts.append(congruent(base, other, tol))
+            assert verdicts[-1] == _congruent_by_loop(base, other, tol)
+    # both verdicts occur at both tolerances
+    assert {True, False} == set(verdicts[::2]) == set(verdicts[1::2])

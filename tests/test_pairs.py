@@ -1,12 +1,14 @@
 """Pair selection by distance against a plain loop over the upper triangle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from polydisc import (PointConfig, SingularConfigError, active_set, arc_polygon, extract,
-                      geometry, maximizer_structure_report, objective_gradient,
-                      recover_multipliers, regular_ngon, triwave, verify)
-from polydisc.geometry import normalize_to_diameter, pairwise_distances, upper_pairs
+from polydisc import (PointConfig, SingularConfigError, active_set, arc_polygon, asymptotics,
+                      constructions, extract, geometry, maximizer_structure_report,
+                      objective_gradient, recover_multipliers, regular_ngon, triwave, verify)
+from polydisc.geometry import _pair_list, _upper, normalize_to_diameter, pairwise_distances
 
 
 def loop_pairs(values, cut):
@@ -86,6 +88,11 @@ def test_regular_polygon_ties():
     assert len(extract(regular_ngon(1000)).edges) == 500
 
 
+def upper_pairs(mask):
+    """_upper's pairs as a list of pairs of Python ints."""
+    return _pair_list(np.column_stack(_upper(mask)))
+
+
 def test_upper_pairs_ignores_diagonal_and_lower_triangle():
     mask = np.ones((3, 3), dtype=bool)
     mask[0, 2] = False
@@ -112,6 +119,21 @@ def test_row_blocks_match_one_pass(monkeypatch, entries):
     assert active_set(config, 1e-3) == loop_pairs(d2, 4.0 * (1.0 - 1e-3))
     assert [s.stop - s.start for s in geometry._row_blocks(23)] == (
         [1] * 23 if entries == 1 else [2] * 11 + [1] if entries == 50 else [23])
+
+
+@pytest.mark.parametrize("kernel", [lambda: asymptotics.j_riemann(4000),
+                                    lambda: constructions.zonogon_support_max(12, 10 ** 6)],
+                         ids=["j_riemann", "zonogon_support_max"])
+def test_grid_kernels_take_row_blocks(kernel):
+    # both grids take their blocks from _row_blocks; in blocks of their own
+    # (2^22 and 10^7 entries) they peaked at 192 and 236 MiB
+    tracemalloc.start()
+    try:
+        kernel()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def loop_distances_and_sums(z):
